@@ -37,19 +37,11 @@ from .precondition import (
     lambda_shift,
     scaling_check,
 )
-from .proposals import (
-    ProductCategorical,
-    build_proposal,
-    over_relax,
-    over_relax_conditional,
-    over_relax_log_prob,
-    sample_product,
-)
+from .proposals import over_relax_conditional
 from .samplers import (
     ChainState,
     SamplerConfig,
     StepOutcome,
-    first_order_specialize,
     git_gibbs_step,
     metropolis_step,
     momentum_init,

@@ -204,29 +204,40 @@ def _collect_calibration_sample(config: ExperimentConfig, target: TargetModel) -
     return CalibrationSample.from_states(target, states)
 
 
+def _preconditioner_by_delta(config: ExperimentConfig, target: TargetModel, sample=None):
+    """Map a stepsize to a preconditioner by the configured calibration
+    method.  The fitting methods estimate W once, from ``sample`` or else
+    from a fresh burn-in; a given sample requires a fitting method."""
+    calib = config.calibration
+    method = calib["method"]
+    threshold = config.cond_threshold
+    if sample is None and method == "exact_quadratic":
+        return lambda delta: exact_quadratic_preconditioner(target, delta, threshold)
+    if sample is None and method == "none":
+        return lambda delta: first_order_preconditioner(target.lattice.dim, delta, threshold)
+    if method not in ("gradient_diff", "energy_diff"):
+        raise ConfigError("calibration from a chain sample needs gradient_diff or energy_diff")
+    if sample is None:
+        sample = _collect_calibration_sample(config, target)
+    if method == "gradient_diff":
+        w = calibrate_w_gradient_diff(sample, method=calib.get("solver", "lyapunov"))
+    else:
+        w = calibrate_w_energy_diff(sample)
+    return lambda delta: factorize(w, lambda_shift(w, delta), threshold)
+
+
 def build_preconditioner(config: ExperimentConfig, target: TargetModel):
     """Resolve the calibration method into a concrete preconditioner."""
     method = config.calibration["method"]
-    delta = config.sampler.delta
     info = {"method": method}
     if config.kernel == "metropolis":
         return None, info
-    if method == "exact_quadratic":
-        pre = exact_quadratic_preconditioner(target, delta, config.cond_threshold)
-    elif method == "none":
-        pre = first_order_preconditioner(target.lattice.dim, delta, config.cond_threshold)
+    pre = _preconditioner_by_delta(config, target)(config.sampler.delta)
+    if method == "none":
         info["label"] = "first-order specialization (W = 0)"
-    else:
-        sample = _collect_calibration_sample(config, target)
-        if method == "gradient_diff":
-            w = calibrate_w_gradient_diff(
-                sample, method=config.calibration.get("solver", "lyapunov")
-            )
-        else:
-            w = calibrate_w_energy_diff(sample)
+    elif method != "exact_quadratic":
         info["burn_in_steps"] = int(config.calibration.get("burn_in_steps", 500))
         info["burn_in_kernel"] = config.calibration.get("burn_in_kernel", "metropolis")
-        pre = factorize(w, lambda_shift(w, delta), config.cond_threshold)
     return pre, info
 
 
@@ -486,22 +497,6 @@ def recompute_metrics(run_dir, out_dir=None) -> Path:
     return out_dir
 
 
-def _tune_pre_builder(config: ExperimentConfig, target: TargetModel):
-    method = config.calibration["method"]
-    if method == "exact_quadratic":
-        w_true, _ = target.quadratic_coeff
-        return lambda delta: factorize(w_true, lambda_shift(w_true, delta), config.cond_threshold)
-    if method == "none":
-        dim = target.lattice.dim
-        return lambda delta: first_order_preconditioner(dim, delta, config.cond_threshold)
-    sample = _collect_calibration_sample(config, target)
-    if method == "gradient_diff":
-        w = calibrate_w_gradient_diff(sample, method=config.calibration.get("solver", "lyapunov"))
-    else:
-        w = calibrate_w_energy_diff(sample)
-    return lambda delta: factorize(w, lambda_shift(w, delta), config.cond_threshold)
-
-
 def tune_command(config: ExperimentConfig, out_dir=None) -> Path:
     """Staged grid search for the configured kernel; writes the chosen
     sampler parameters and the full tuning trace as JSON."""
@@ -516,7 +511,7 @@ def tune_command(config: ExperimentConfig, out_dir=None) -> Path:
     chosen, trace = staged_grid_search(
         config.kernel,
         target,
-        _tune_pre_builder(config, target),
+        _preconditioner_by_delta(config, target),
         {"delta": tune["delta_grid"], "phi": tune.get("phi_grid", [0.0])},
         chains=int(tune.get("probe_chains", 4)),
         length=probe_length,
@@ -556,15 +551,8 @@ def calibrate_command(config: ExperimentConfig, chains_csv=None, out_dir=None) -
     if chains_csv is not None:
         draws, _, _ = read_chain_csv(chains_csv)
         sample = CalibrationSample.from_states(target, draws)
-        method = config.calibration["method"]
-        if method == "gradient_diff":
-            w = calibrate_w_gradient_diff(sample, method=config.calibration.get("solver", "lyapunov"))
-        elif method == "energy_diff":
-            w = calibrate_w_energy_diff(sample)
-        else:
-            raise ConfigError("chain-CSV calibration needs gradient_diff or energy_diff")
-        pre = factorize(w, lambda_shift(w, config.sampler.delta), config.cond_threshold)
-        info = {"method": method, "source": str(chains_csv)}
+        pre = _preconditioner_by_delta(config, target, sample)(config.sampler.delta)
+        info = {"method": config.calibration["method"], "source": str(chains_csv)}
     else:
         pre, info = build_preconditioner(config, target)
         if pre is None:

@@ -3,12 +3,13 @@
 All normalization happens in log space; unnormalized weights are never
 exponentiated.  Row log-probabilities are clamped at ``LOG_FLOOR`` so that
 transition log-probabilities stay finite even for underflowed values.
+
+The row functions are batched over any leading axes (chains, coordinates).
+The scalar conditional law :func:`over_relax_conditional` is the reference
+the vectorized over-relaxation rows are checked against.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,68 +19,36 @@ from .precondition import Preconditioner
 LOG_FLOOR = -745.0
 
 
-@dataclass
-class ProductCategorical:
-    """Coordinate-independent categorical proposal over the lattice values.
+def proposal_log_rows(grad, s_ref, z, pre: Preconditioner, values) -> np.ndarray:
+    """Log-probability rows of the product proposal induced by a quadratic
+    surrogate around ``s_ref``, clamped at ``LOG_FLOOR``:
 
-    ``logits[i, k]`` is the unnormalized log-probability of value ``values[k]``
-    at coordinate ``i``; ``log_norms[i]`` is the per-row log-sum-exp, so the
-    joint log-probability of a point factorizes as
-    sum_i (logits[i, idx_i] - log_norms[i]).
+    logits[..., i, k] = -1/2 lam a_k^2 + [grad_i - (W s_ref)_i + ((W + lam I) z)_i] a_k.
+
+    Inputs are ``(d,)`` or ``(m, d)``; a non-finite coefficient raises
+    :class:`NumericGuardError` naming the first offending chain.
     """
-
-    values: np.ndarray
-    logits: np.ndarray
-    log_norms: np.ndarray
-    log_rows: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.log_rows = np.maximum(self.logits - self.log_norms[:, None], LOG_FLOOR)
-
-    @property
-    def dim(self) -> int:
-        return self.logits.shape[0]
-
-    def pmf_rows(self) -> np.ndarray:
-        return np.exp(self.log_rows)
-
-    def log_prob_indices(self, idx) -> float:
-        rows = np.arange(self.dim)
-        return float(self.log_rows[rows, np.asarray(idx)].sum())
-
-
-def _row_log_norms(logits: np.ndarray) -> np.ndarray:
+    coeff = grad - s_ref @ pre.W
+    coeff = coeff + z @ pre.W_shifted
+    finite = np.isfinite(coeff).reshape(-1, coeff.shape[-1]).all(axis=1)
+    if not finite.all():
+        raise NumericGuardError(f"non-finite proposal logits in chain {np.argmin(finite)}")
+    logits = -0.5 * pre.lam * values**2 + coeff[..., None] * values
     peak = logits.max(axis=-1)
-    return np.log(np.exp(logits - peak[..., None]).sum(axis=-1)) + peak
+    log_norms = np.log(np.exp(logits - peak[..., None]).sum(axis=-1)) + peak
+    return np.maximum(logits - log_norms[..., None], LOG_FLOOR)
 
 
-def build_proposal(grad, s_ref, z, pre: Preconditioner, values) -> ProductCategorical:
-    """Product proposal induced by a quadratic surrogate around ``s_ref``.
-
-    logits[i, k] = -1/2 lam a_k^2 + [grad_i - (W s_ref)_i + ((W + lam I) z)_i] a_k,
-    with the shifted-matrix product computed once per call.
-    """
-    values = np.asarray(values, dtype=float)
-    coeff = np.asarray(grad, dtype=float) - np.asarray(s_ref, dtype=float) @ pre.W
-    coeff = coeff + np.asarray(z, dtype=float) @ pre.W_shifted
-    with np.errstate(invalid="ignore"):
-        logits = -0.5 * pre.lam * values[None, :] ** 2 + coeff[:, None] * values[None, :]
-    if not np.all(np.isfinite(logits)):
-        raise NumericGuardError("non-finite proposal logits")
-    return ProductCategorical(values, logits, _row_log_norms(logits))
+def cdf_rows(pmf_rows: np.ndarray) -> np.ndarray:
+    """Monotone CDF rows: the running sum clipped at 1, last entry pinned at 1."""
+    cdf = np.minimum(np.cumsum(pmf_rows, axis=-1), 1.0)
+    cdf[..., -1] = 1.0
+    return cdf
 
 
 def sample_rows_inverse_cdf(pmf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row: first index whose CDF exceeds the uniform."""
-    cdf = np.cumsum(pmf_rows, axis=-1)
-    cdf[..., -1] = 1.0
-    return (cdf > uniforms[..., None]).argmax(axis=-1)
-
-
-def sample_product(dist: ProductCategorical, rng) -> np.ndarray:
-    """Draw one lattice point, one uniform per coordinate in ascending order."""
-    idx = sample_rows_inverse_cdf(dist.pmf_rows(), rng.random(dist.dim))
-    return dist.values[idx]
+    return (cdf_rows(pmf_rows) > uniforms[..., None]).argmax(axis=-1)
 
 
 def _circular_overlap(u: float, width: float, lo: float, hi: float) -> float:
@@ -131,9 +100,7 @@ def over_relax_conditional(row_pmf: np.ndarray, x0_index: int, x1_index: int, be
         return 1.0 if x1_index == x0_index else 0.0
     if row_pmf[x0_index] <= 0.0:
         raise InvalidStateError("current value has zero probability under the reference row")
-    cdf = np.cumsum(row_pmf)
-    cdf[-1] = 1.0
-    return _conditional_from_cdf(cdf, x0_index, x1_index, beta)
+    return _conditional_from_cdf(cdf_rows(row_pmf), x0_index, x1_index, beta)
 
 
 def _conditional_from_cdf(cdf, x0_index: int, x1_index: int, beta: float) -> float:
@@ -179,43 +146,6 @@ def _conditional_from_cdf(cdf, x0_index: int, x1_index: int, beta: float) -> flo
     return total / (span * p0)
 
 
-def _log_conditional_from_cdf(cdf, x0_index: int, x1_index: int, beta: float) -> float:
-    prob = _conditional_from_cdf(cdf, x0_index, x1_index, beta)
-    if prob <= 0.0:
-        return LOG_FLOOR
-    return max(math.log(prob), LOG_FLOOR)
-
-
-def over_relax_log_prob(row_pmf: np.ndarray, x0_index: int, x1_index: int, beta: float) -> float:
-    prob = over_relax_conditional(row_pmf, x0_index, x1_index, beta)
-    if prob <= 0.0:
-        return LOG_FLOOR
-    return max(float(np.log(prob)), LOG_FLOOR)
-
-
-def over_relax(x0_index: int, row_pmf: np.ndarray, beta: float, rng):
-    """One CDF-space over-relaxation move.
-
-    Draws w0 uniformly on the CDF interval of x0 and w~ on [0, 1), maps
-    w1 = (-w0 + beta w~) mod 1, and returns the landing index together with
-    its exact conditional log-probability.  Consumes exactly two uniforms.
-    """
-    row_pmf = np.asarray(row_pmf, dtype=float)
-    K = row_pmf.size
-    u0, u_tilde = rng.random(), rng.random()
-    if K == 1:
-        return 0, 0.0
-    if row_pmf[x0_index] <= 0.0:
-        raise InvalidStateError("current value has zero probability under the reference row")
-    cdf = np.cumsum(row_pmf)
-    cdf[-1] = 1.0
-    a, b = _cdf_bounds(cdf, x0_index)
-    w0 = a + (b - a) * u0
-    w1 = (-w0 + beta * u_tilde) % 1.0
-    x1 = int((cdf > w1).argmax())
-    return x1, _log_conditional_from_cdf(cdf, x0_index, x1, beta)
-
-
 def over_relax_sample_rows(
     pmf_rows: np.ndarray,
     x0_indices: np.ndarray,
@@ -224,26 +154,27 @@ def over_relax_sample_rows(
     u_tilde: np.ndarray,
 ) -> np.ndarray:
     """Vectorized landing indices of the over-relaxation map, one per row."""
-    cdf = np.cumsum(pmf_rows, axis=-1)
-    cdf[..., -1] = 1.0
-    return over_relax_rows_from_cdf(cdf, x0_indices, beta, u0, u_tilde)
+    return over_relax_rows_from_cdf(cdf_rows(pmf_rows), x0_indices, beta, u0, u_tilde)
 
 
 def over_relax_rows_from_cdf(cdf, x0_indices, beta, u0, u_tilde) -> np.ndarray:
-    x0 = np.asarray(x0_indices)
-    upper = np.take_along_axis(cdf, x0[..., None], axis=-1)[..., 0]
-    below = np.take_along_axis(cdf, np.maximum(x0 - 1, 0)[..., None], axis=-1)[..., 0]
-    lower = np.where(x0 > 0, below, 0.0)
+    """Draw w0 uniformly on the CDF interval of x0 (from ``u0``), map
+    w1 = (-w0 + beta w~) mod 1 (w~ = ``u_tilde``) and return the landing index."""
+    lower, upper = _cdf_interval_rows(cdf, np.asarray(x0_indices))
     w0 = lower + (upper - lower) * u0
     w1 = (-w0 + beta * u_tilde) % 1.0
     return (cdf > w1[..., None]).argmax(axis=-1)
 
 
+def row_entries(rows, idx) -> np.ndarray:
+    """Entry ``idx[..., j]`` of each row ``rows[..., j, :]``, gathered by
+    flat position (``idx`` has the rows' leading shape)."""
+    return rows.reshape(-1)[np.arange(idx.size).reshape(idx.shape) * rows.shape[-1] + idx]
+
+
 def _cdf_interval_rows(cdf, idx):
-    upper = np.take_along_axis(cdf, idx[..., None], axis=-1)[..., 0]
-    below = np.take_along_axis(cdf, np.maximum(idx - 1, 0)[..., None], axis=-1)[..., 0]
-    lower = np.where(idx > 0, below, 0.0)
-    return lower, upper
+    """CDF interval [lower, upper) of value ``idx`` in each row."""
+    return np.where(idx > 0, row_entries(cdf, idx - 1), 0.0), row_entries(cdf, idx)
 
 
 def _overlap_rows(u, width, lo, hi):
@@ -260,20 +191,14 @@ def _segment_integral_rows(t0, t1, width, lo, hi):
     """Vectorized exact integral of the overlap over arc starts in [t0, t1].
 
     Trapezoid over the per-row kink candidates clipped into the segment;
-    clipped duplicates contribute zero-width pieces.
+    clipped duplicates contribute zero-width pieces.  ``t0``/``t1`` may carry
+    extra leading axes over the rows.
     """
-    knots = np.stack(
-        [
-            t0,
-            t1,
-            np.clip(lo, t0, t1),
-            np.clip(hi, t0, t1),
-            np.clip((lo - width) % 1.0, t0, t1),
-            np.clip((hi - width) % 1.0, t0, t1),
-            np.clip((1.0 - width) % 1.0, t0, t1),
-        ],
-        axis=-1,
+    kinks = np.stack(
+        [lo, hi, (lo - width) % 1.0, (hi - width) % 1.0, (1.0 - width) % 1.0], axis=-1
     )
+    kinks = np.minimum(np.maximum(kinks, t0[..., None]), t1[..., None])
+    knots = np.concatenate([np.stack([t0, t1], axis=-1), kinks], axis=-1)
     knots.sort(axis=-1)
     g = _overlap_rows(knots, width[..., None], lo[..., None], hi[..., None])
     steps = np.diff(knots, axis=-1)
@@ -283,42 +208,43 @@ def _segment_integral_rows(t0, t1, width, lo, hi):
 def over_relax_log_prob_rows(cdf, x0_indices, x1_indices, beta: float) -> np.ndarray:
     """Vectorized exact conditional log-probabilities from row CDFs.
 
-    Rows whose x0 CDF interval underflowed to zero width fall back to the
-    scalar point-interval limit.
+    Rows whose x0 CDF interval underflowed to zero width take the
+    point-interval limit of overlap / p0: the share of arc starts in
+    [lo, hi), an indicator at ``beta = 0``.
     """
     x0 = np.asarray(x0_indices)
     x1 = np.asarray(x1_indices)
     a, b = _cdf_interval_rows(cdf, x0)
     lo, hi = _cdf_interval_rows(cdf, x1)
     p0 = b - a
+    point = p0 <= 0.0
+    p0_safe = np.where(point, 1.0, p0)
 
     if beta == 0.0:
-        with np.errstate(divide="ignore"):
-            out = np.log(_overlap_rows((-b) % 1.0, p0, lo, hi) / np.where(p0 > 0, p0, 1.0))
+        # w1 = (-w0) mod 1 deterministic in w~; the landing arc starts at -b
+        start = (-b) % 1.0
+        prob = np.where(
+            point, (lo <= start) & (start < hi), _overlap_rows(start, p0, lo, hi) / p0_safe
+        )
     else:
         span = abs(beta)
         full, rem = divmod(span, 1.0)
-        total = full * p0 * (hi - lo)
+        # average overlap over a full period is p0 * p1
+        total = full * p0_safe * (hi - lo)
         if rem > 0.0:
             start = np.minimum(-b, beta - b) % 1.0
             t_end = start + rem
-            seg1_hi = np.minimum(t_end, 1.0)
-            total = total + _segment_integral_rows(start, seg1_hi, p0, lo, hi)
-            seg2_hi = np.maximum(t_end - 1.0, 0.0)
-            total = total + _segment_integral_rows(np.zeros_like(start), seg2_hi, p0, lo, hi)
-        with np.errstate(divide="ignore"):
-            out = np.log(total / (span * np.where(p0 > 0, p0, 1.0)))
-    out = np.maximum(out, LOG_FLOOR)
-
-    degenerate = p0 <= 0.0
-    if np.any(degenerate):
-        flat_out = out.reshape(-1)
-        flat_cdf = cdf.reshape(-1, cdf.shape[-1])
-        flat_x0 = x0.reshape(-1)
-        flat_x1 = x1.reshape(-1)
-        for row in np.nonzero(degenerate.reshape(-1))[0]:
-            flat_out[row] = _log_conditional_from_cdf(
-                flat_cdf[row], int(flat_x0[row]), int(flat_x1[row]), beta
+            # the arc of starts [start, start + rem), split where it wraps past 1
+            first, wrapped = _segment_integral_rows(
+                np.stack([start, np.zeros_like(start)]),
+                np.stack([np.minimum(t_end, 1.0), np.maximum(t_end - 1.0, 0.0)]),
+                p0,
+                lo,
+                hi,
             )
-        out = flat_out.reshape(out.shape)
-    return out
+            total = np.where(
+                point, total + _overlap_rows(start, rem, lo, hi), total + first + wrapped
+            )
+        prob = total / (span * p0_safe)
+    with np.errstate(divide="ignore"):
+        return np.maximum(np.log(prob), LOG_FLOOR)

@@ -2,8 +2,15 @@
 proposals with and without momentum, over-relaxed state updates, and a
 random-walk Metropolis baseline.
 
+Each kernel exists once, as a batched core over ``(m, d)`` arrays of m
+independent chains: ``propose`` maps one step's variates to proposed lattice
+indices, and ``log_ratio`` gives the acceptance log-ratio together with the
+proposal and joint log-densities behind it.  :func:`run_chains` loops the
+core over steps; the solo ``*_step`` functions and the
+``*_transition_terms`` are one-chain calls of the same core.
+
 Randomness consumption per step is fixed so that shared-seed comparisons are
-well defined:
+well defined.  Each chain draws from its own generator, in this order:
 
 * ``git_gibbs`` / ``pavg``: d standard normals, d coordinate uniforms
   (ascending), one acceptance uniform (drawn and ignored by ``git_gibbs``).
@@ -25,18 +32,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, InvalidStateError, NumericGuardError
-from .precondition import Preconditioner, first_order_preconditioner
+from .precondition import Preconditioner
 from .proposals import (
-    LOG_FLOOR,
-    build_proposal,
-    over_relax_log_prob,
+    cdf_rows,
     over_relax_log_prob_rows,
     over_relax_rows_from_cdf,
-    over_relax_sample_rows,
+    proposal_log_rows,
+    row_entries,
     sample_rows_inverse_cdf,
 )
 from .targets import TargetModel
@@ -82,286 +89,6 @@ class StepOutcome:
     proposal: np.ndarray
 
 
-def momentum_init(pre: Preconditioner, rng) -> np.ndarray:
-    """Stationary momentum draw, distributed N(0, (W + lam I)^-1)."""
-    return rng.standard_normal(pre.dim) @ pre.L_inv_T.T
-
-
-def _refresh_momentum(v, eps, refresh, pre):
-    """Partial momentum refresh; the eps = 1 boundary keeps v unchanged."""
-    if eps == 1.0:
-        return v
-    return eps * v + math.sqrt(1.0 - eps * eps) * (refresh @ pre.L_inv_T.T)
-
-
-def _sq(x: np.ndarray) -> float:
-    return float((x * x).sum())
-
-
-def _require_quadratic_match(target: TargetModel, pre: Preconditioner):
-    if target.quadratic_coeff is None:
-        raise ContractError("auxiliary Gibbs requires an exactly quadratic target")
-    w_true, _ = target.quadratic_coeff
-    if not np.allclose(w_true, pre.W, atol=1e-10, rtol=0.0):
-        raise ContractError("preconditioner W does not match the target's quadratic matrix")
-
-
-def git_gibbs_step(state: ChainState, target: TargetModel, pre: Preconditioner, rng, noise=None) -> StepOutcome:
-    """Auxiliary-variable Gibbs sweep for quadratic targets; never rejects.
-
-    Consumes the same variate pattern as the accept-reject kernels so that
-    shared-seed trajectory comparisons line up step for step.
-    """
-    _require_quadratic_match(target, pre)
-    lattice = target.lattice
-    d = lattice.dim
-    if noise is None:
-        z_noise, coord_u, _ = rng.standard_normal(d), rng.random(d), rng.random()
-    else:
-        z_noise, coord_u, _ = noise
-    s = state.s
-    z = s + z_noise @ pre.L_inv_T.T
-    fwd = build_proposal(target.grad_f(s), s, z, pre, lattice.values)
-    idx_star = sample_rows_inverse_cdf(fwd.pmf_rows(), coord_u)
-    s_star = lattice.values[idx_star]
-    return StepOutcome(ChainState(s_star, None), True, 0.0, s_star)
-
-
-def pavg_step(state: ChainState, target: TargetModel, pre: Preconditioner, rng, noise=None) -> StepOutcome:
-    """Preconditioned auxiliary-variable step (momentum-free kernel)."""
-    lattice = target.lattice
-    d = lattice.dim
-    if noise is None:
-        z_noise, coord_u, acc_u = rng.standard_normal(d), rng.random(d), rng.random()
-    else:
-        z_noise, coord_u, acc_u = noise
-    s = state.s
-    z = s + z_noise @ pre.L_inv_T.T
-    fwd = build_proposal(target.grad_f(s), s, z, pre, lattice.values)
-    idx_star = sample_rows_inverse_cdf(fwd.pmf_rows(), coord_u)
-    s_star = lattice.values[idx_star]
-    bwd = build_proposal(target.grad_f(s_star), s_star, z, pre, lattice.values)
-    idx_t = lattice.index_of(s)
-    delta = (
-        target.f(s_star)
-        - target.f(s)
-        - 0.5 * _sq((z - s_star) @ pre.L)
-        + 0.5 * _sq((z - s) @ pre.L)
-        + bwd.log_prob_indices(idx_t)
-        - fwd.log_prob_indices(idx_star)
-    )
-    if not math.isfinite(delta):
-        raise NumericGuardError("non-finite acceptance log-ratio")
-    accepted = delta >= 0.0 or acc_u < math.exp(min(delta, 0.0))
-    next_s = s_star if accepted else s
-    return StepOutcome(ChainState(next_s, None), accepted, float(delta), s_star)
-
-
-def vpdhams_transition_terms(s_t, v_half, s_star, target: TargetModel, pre: Preconditioner, config: SamplerConfig):
-    """Closed-form quantities of the momentum kernel for a given proposal.
-
-    Returns a dict with the deterministic momentum proposal ``v_star``, the
-    normalized forward/backward proposal log-probabilities, the joint
-    log-densities (up to the shared constant) of the endpoints, and the
-    acceptance log-ratio ``delta``.
-    """
-    lattice = target.lattice
-    values = lattice.values
-    grad_t = target.grad_f(s_t)
-    grad_star = target.grad_f(s_star)
-    z_f = s_t - v_half
-    v_star = -v_half + s_t - s_star + config.phi * (grad_star - grad_t + (s_t - s_star) @ pre.W)
-    z_b = s_star + v_star
-    fwd = build_proposal(grad_t, s_t, z_f, pre, values)
-    bwd = build_proposal(grad_star, s_star, z_b, pre, values)
-    idx_t = lattice.index_of(s_t)
-    idx_star = lattice.index_of(s_star)
-    log_q_fwd = fwd.log_prob_indices(idx_star)
-    log_q_bwd = bwd.log_prob_indices(idx_t)
-    log_joint_fwd = target.f(s_t) - 0.5 * _sq(v_half @ pre.L)
-    log_joint_bwd = target.f(s_star) - 0.5 * _sq(v_star @ pre.L)
-    delta = log_joint_bwd - log_joint_fwd + log_q_bwd - log_q_fwd
-    return {
-        "v_star": v_star,
-        "delta": float(delta),
-        "log_q_fwd": log_q_fwd,
-        "log_q_bwd": log_q_bwd,
-        "log_joint_fwd": log_joint_fwd,
-        "log_joint_bwd": log_joint_bwd,
-        "forward_proposal": fwd,
-    }
-
-
-def vpdhams_step(state: ChainState, target: TargetModel, pre: Preconditioner, config: SamplerConfig, rng, noise=None) -> StepOutcome:
-    """Momentum kernel: partial refresh, negated-momentum proposal, gradient
-    correction, generalized Metropolis acceptance.  Rejection stores the
-    negated intermediate momentum."""
-    if state.v is None:
-        raise InvalidStateError("momentum kernel requires a state with momentum")
-    lattice = target.lattice
-    d = lattice.dim
-    eps = config.epsilon
-    if noise is None:
-        refresh = rng.standard_normal(d) if eps < 1.0 else None
-        coord_u, acc_u = rng.random(d), rng.random()
-    else:
-        refresh, coord_u, acc_u = noise
-    s = state.s
-    v_half = _refresh_momentum(state.v, eps, refresh, pre)
-    z = s - v_half
-    fwd = build_proposal(target.grad_f(s), s, z, pre, lattice.values)
-    idx_star = sample_rows_inverse_cdf(fwd.pmf_rows(), coord_u)
-    s_star = lattice.values[idx_star]
-    terms = vpdhams_transition_terms(s, v_half, s_star, target, pre, config)
-    delta = terms["delta"]
-    if not math.isfinite(delta):
-        raise NumericGuardError("non-finite acceptance log-ratio")
-    accepted = delta >= 0.0 or acc_u < math.exp(min(delta, 0.0))
-    if accepted:
-        nxt = ChainState(s_star, terms["v_star"])
-    else:
-        nxt = ChainState(s, -v_half)
-    return StepOutcome(nxt, accepted, delta, s_star)
-
-
-def opdhams_transition_terms(s_t, v_half, s_star, target: TargetModel, pre: Preconditioner, config: SamplerConfig):
-    """Like :func:`vpdhams_transition_terms` but with over-relaxed proposal
-    probabilities computed from the exact conditional law per coordinate."""
-    lattice = target.lattice
-    values = lattice.values
-    beta = config.beta
-    grad_t = target.grad_f(s_t)
-    grad_star = target.grad_f(s_star)
-    z_f = s_t - v_half
-    v_star = -v_half + s_t - s_star + config.phi * (grad_star - grad_t + (s_t - s_star) @ pre.W)
-    z_b = s_star + v_star
-    fwd = build_proposal(grad_t, s_t, z_f, pre, values)
-    bwd = build_proposal(grad_star, s_star, z_b, pre, values)
-    idx_t = lattice.index_of(s_t)
-    idx_star = lattice.index_of(s_star)
-    pmf_f = fwd.pmf_rows()
-    pmf_b = bwd.pmf_rows()
-    log_q_fwd = sum(
-        over_relax_log_prob(pmf_f[j], int(idx_t[j]), int(idx_star[j]), beta) for j in range(lattice.dim)
-    )
-    log_q_bwd = sum(
-        over_relax_log_prob(pmf_b[j], int(idx_star[j]), int(idx_t[j]), beta) for j in range(lattice.dim)
-    )
-    log_joint_fwd = target.f(s_t) - 0.5 * _sq(v_half @ pre.L)
-    log_joint_bwd = target.f(s_star) - 0.5 * _sq(v_star @ pre.L)
-    delta = log_joint_bwd - log_joint_fwd + log_q_bwd - log_q_fwd
-    return {
-        "v_star": v_star,
-        "delta": float(delta),
-        "log_q_fwd": log_q_fwd,
-        "log_q_bwd": log_q_bwd,
-        "log_joint_fwd": log_joint_fwd,
-        "log_joint_bwd": log_joint_bwd,
-        "forward_proposal": fwd,
-    }
-
-
-def opdhams_step(state: ChainState, target: TargetModel, pre: Preconditioner, config: SamplerConfig, rng, noise=None) -> StepOutcome:
-    """Momentum kernel with the state proposed coordinate-wise by CDF-space
-    over-relaxation around the current point."""
-    if state.v is None:
-        raise InvalidStateError("momentum kernel requires a state with momentum")
-    lattice = target.lattice
-    d = lattice.dim
-    eps = config.epsilon
-    if noise is None:
-        refresh = rng.standard_normal(d) if eps < 1.0 else None
-        pairs = rng.random((d, 2))
-        acc_u = rng.random()
-    else:
-        refresh, pairs, acc_u = noise
-    s = state.s
-    v_half = _refresh_momentum(state.v, eps, refresh, pre)
-    z = s - v_half
-    fwd = build_proposal(target.grad_f(s), s, z, pre, lattice.values)
-    pmf = fwd.pmf_rows()
-    idx_t = lattice.index_of(s)
-    idx_star = over_relax_sample_rows(pmf, idx_t, config.beta, pairs[:, 0], pairs[:, 1])
-    s_star = lattice.values[idx_star]
-    terms = opdhams_transition_terms(s, v_half, s_star, target, pre, config)
-    delta = terms["delta"]
-    if not math.isfinite(delta):
-        raise NumericGuardError("non-finite acceptance log-ratio")
-    accepted = delta >= 0.0 or acc_u < math.exp(min(delta, 0.0))
-    if accepted:
-        nxt = ChainState(s_star, terms["v_star"])
-    else:
-        nxt = ChainState(s, -v_half)
-    return StepOutcome(nxt, accepted, delta, s_star)
-
-
-def metropolis_step(state: ChainState, target: TargetModel, r: int, rng, noise=None) -> StepOutcome:
-    """Random-walk baseline: per coordinate, propose uniformly among values
-    within index distance ``r`` (clipped at the lattice ends, current value
-    permitted), with the clipping asymmetry corrected in the acceptance."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    lattice = target.lattice
-    K = lattice.n_values
-    d = lattice.dim
-    if noise is None:
-        coord_u, acc_u = rng.random(d), rng.random()
-    else:
-        coord_u, acc_u = noise
-    idx = lattice.index_of(state.s)
-    lo = np.maximum(idx - r, 0)
-    hi = np.minimum(idx + r, K - 1)
-    width = hi - lo + 1
-    idx_star = lo + np.minimum((coord_u * width).astype(np.int64), width - 1)
-    s_star = lattice.values[idx_star]
-    lo_b = np.maximum(idx_star - r, 0)
-    hi_b = np.minimum(idx_star + r, K - 1)
-    width_b = hi_b - lo_b + 1
-    delta = (
-        target.f(s_star)
-        - target.f(state.s)
-        + float(np.log(width).sum())
-        - float(np.log(width_b).sum())
-    )
-    accepted = delta >= 0.0 or acc_u < math.exp(min(delta, 0.0))
-    next_s = s_star if accepted else state.s
-    return StepOutcome(ChainState(next_s, None), accepted, float(delta), s_star)
-
-
-@dataclass(frozen=True)
-class BoundKernel:
-    """A kernel id with a preconditioner already attached."""
-
-    kernel_id: str
-    pre: Preconditioner
-
-    def step(self, state, target, config, rng, noise=None):
-        return step_kernel(self.kernel_id, state, target, self.pre, config, rng, noise)
-
-
-def first_order_specialize(kernel: str, delta: float, dim: int, cond_threshold: float = 100.0) -> BoundKernel:
-    """The W = 0 specialization of a preconditioned kernel: lam = delta and
-    L = sqrt(delta) I.  Labeled a first-order specialization in outputs."""
-    if kernel not in ("pavg", "vpdhams", "opdhams"):
-        raise ValueError("first-order specialization applies to pavg/vpdhams/opdhams")
-    return BoundKernel(kernel, first_order_preconditioner(dim, delta, cond_threshold))
-
-
-def step_kernel(kernel_id: str, state: ChainState, target: TargetModel, pre, config: SamplerConfig, rng, noise=None) -> StepOutcome:
-    """Uniform dispatcher over the kernel registry."""
-    if kernel_id == "metropolis":
-        return metropolis_step(state, target, config.r, rng, noise)
-    if kernel_id == "git_gibbs":
-        return git_gibbs_step(state, target, pre, rng, noise)
-    if kernel_id == "pavg":
-        return pavg_step(state, target, pre, rng, noise)
-    if kernel_id == "vpdhams":
-        return vpdhams_step(state, target, pre, config, rng, noise)
-    if kernel_id == "opdhams":
-        return opdhams_step(state, target, pre, config, rng, noise)
-    raise ValueError(f"unknown kernel {kernel_id!r}")
-
-
 @dataclass
 class ChainRunResult:
     """Lockstep multi-chain run output: per-chain draw indices into the
@@ -377,15 +104,251 @@ class ChainRunResult:
         return self.indices.shape[0]
 
 
-def _log_rows_batch(coeff, lam, values, quad_term):
-    logits = quad_term + coeff[..., None] * values
-    peak = logits.max(axis=-1)
-    log_norms = np.log(np.exp(logits - peak[..., None]).sum(axis=-1)) + peak
-    return np.maximum(logits - log_norms[..., None], LOG_FLOOR)
+def momentum_init(pre: Preconditioner, rng) -> np.ndarray:
+    """Stationary momentum draw, distributed N(0, (W + lam I)^-1)."""
+    return rng.standard_normal(pre.dim) @ pre.L_inv_T.T
 
 
-def _take_point_logprob(log_rows, idx):
-    return np.take_along_axis(log_rows, idx[..., None], axis=-1)[..., 0].sum(axis=-1)
+def _require_quadratic_match(target: TargetModel, pre: Preconditioner):
+    if target.quadratic_coeff is None:
+        raise ContractError("auxiliary Gibbs requires an exactly quadratic target")
+    w_true, _ = target.quadratic_coeff
+    if not np.allclose(w_true, pre.W, atol=1e-10, rtol=0.0):
+        raise ContractError("preconditioner W does not match the target's quadratic matrix")
+
+
+def _draw_noise(kernel_id, rngs, d, eps):
+    """One step's variates for every chain, each from its own generator in
+    the documented order: (refresh normals or None, coordinate uniforms
+    (pairs for opdhams), acceptance uniforms)."""
+    m = len(rngs)
+    refresh = kernel_id != "metropolis" and not (kernel_id in MOMENTUM_KERNELS and eps == 1.0)
+    pairs = kernel_id == "opdhams"
+    normals = np.empty((m, d)) if refresh else None
+    coord = np.empty((m, d, 2) if pairs else (m, d))
+    acc = np.empty(m)
+    for i, g in enumerate(rngs):
+        if refresh:
+            normals[i] = g.standard_normal(d)
+        coord[i] = g.random((d, 2)) if pairs else g.random(d)
+        acc[i] = g.random()
+    return normals, coord, acc
+
+
+class _Points(NamedTuple):
+    """Lattice indices, values, energies and (except for metropolis)
+    gradients of one point per chain."""
+
+    idx: np.ndarray
+    S: np.ndarray
+    F: np.ndarray
+    G: np.ndarray | None
+
+
+class _Ratio(NamedTuple):
+    delta: np.ndarray
+    v_star: np.ndarray | None
+    log_q_fwd: np.ndarray
+    log_q_bwd: np.ndarray
+    log_joint_fwd: np.ndarray
+    log_joint_bwd: np.ndarray
+
+
+class _Core:
+    """One kernel advancing m chains in lockstep."""
+
+    def __init__(self, kernel_id: str, target: TargetModel, pre, config: SamplerConfig):
+        if kernel_id not in KERNELS:
+            raise ValueError(f"unknown kernel {kernel_id!r}")
+        if kernel_id != "metropolis" and pre is None:
+            raise ValueError(f"kernel {kernel_id!r} requires a preconditioner")
+        if kernel_id == "git_gibbs":
+            _require_quadratic_match(target, pre)
+        self.kernel_id = kernel_id
+        self.target = target
+        self.vals = target.lattice.values
+        self.pre = pre
+        self.config = config
+        self.momentum = kernel_id in MOMENTUM_KERNELS
+        self.over_relaxed = kernel_id == "opdhams"
+
+    def evaluate(self, idx) -> _Points:
+        S = self.vals[idx]
+        F = self.target.f_batch(S)
+        G = None if self.kernel_id == "metropolis" else self.target.grad_batch(S)
+        return _Points(idx, S, F, G)
+
+    def _window(self, idx):
+        """Metropolis index window of radius r, clipped at the lattice ends."""
+        r = self.config.r
+        lo = np.maximum(idx - r, 0)
+        return lo, np.minimum(idx + r, self.vals.size - 1) - lo + 1
+
+    def _rows(self, at: _Points, z):
+        """Proposal rows around ``at``: log-probabilities, or CDFs for opdhams."""
+        log_rows = proposal_log_rows(at.G, at.S, z, self.pre, self.vals)
+        return cdf_rows(np.exp(log_rows)) if self.over_relaxed else log_rows
+
+    def _log_q(self, rows, idx_from, idx_to):
+        if self.over_relaxed:
+            lp = over_relax_log_prob_rows(rows, idx_from, idx_to, self.config.beta)
+        else:
+            lp = row_entries(rows, idx_to)
+        return lp.sum(axis=-1)
+
+    def forward_rows(self, cur: _Points, aux):
+        """Forward proposal rows given the auxiliary point ``z`` (momentum-free
+        kernels) or the refreshed momentum ``v_half`` (momentum kernels)."""
+        return self._rows(cur, cur.S - aux if self.momentum else aux)
+
+    def propose(self, cur: _Points, V, noise):
+        """Proposed indices from one step's variates, with the auxiliary
+        point or refreshed momentum and the forward rows."""
+        normals, coord, _ = noise
+        if self.kernel_id == "metropolis":
+            lo, width = self._window(cur.idx)
+            return lo + np.minimum((coord * width).astype(np.int64), width - 1), None, None
+        eps = self.config.epsilon
+        if not self.momentum:
+            aux = cur.S + normals @ self.pre.L_inv_T.T
+        elif eps == 1.0:
+            aux = V
+        else:
+            aux = eps * V + math.sqrt(1.0 - eps * eps) * (normals @ self.pre.L_inv_T.T)
+        rows = self.forward_rows(cur, aux)
+        if self.over_relaxed:
+            beta = self.config.beta
+            idx_star = over_relax_rows_from_cdf(rows, cur.idx, beta, coord[..., 0], coord[..., 1])
+        else:
+            idx_star = sample_rows_inverse_cdf(np.exp(rows), coord)
+        return idx_star, aux, rows
+
+    def log_ratio(self, cur: _Points, aux, rows_f, new: _Points) -> _Ratio:
+        """Acceptance log-ratio of the move ``cur -> new``; momentum kernels
+        also return the deterministic momentum proposal ``v_star``."""
+        if self.kernel_id == "metropolis":
+            lq_f = -np.log(self._window(cur.idx)[1]).sum(axis=-1)
+            lq_b = -np.log(self._window(new.idx)[1]).sum(axis=-1)
+            return _Ratio(new.F - cur.F - lq_f + lq_b, None, lq_f, lq_b, cur.F, new.F)
+        pre = self.pre
+        if self.momentum:
+            v_star = -aux + cur.S - new.S + self.config.phi * (new.G - cur.G + (cur.S - new.S) @ pre.W)
+            z_b = new.S + v_star
+            kin_new = 0.5 * ((v_star @ pre.L) ** 2).sum(axis=-1)
+            kin_old = 0.5 * ((aux @ pre.L) ** 2).sum(axis=-1)
+        else:
+            v_star, z_b = None, aux
+            kin_new = 0.5 * (((aux - new.S) @ pre.L) ** 2).sum(axis=-1)
+            kin_old = 0.5 * (((aux - cur.S) @ pre.L) ** 2).sum(axis=-1)
+        # forward and backward proposal terms in one batch
+        lq_f, lq_b = self._log_q(
+            np.stack([rows_f, self._rows(new, z_b)]),
+            np.stack([cur.idx, new.idx]),
+            np.stack([new.idx, cur.idx]),
+        )
+        with np.errstate(invalid="ignore"):
+            delta = new.F - cur.F - kin_new + kin_old + lq_b - lq_f
+            return _Ratio(delta, v_star, lq_f, lq_b, cur.F - kin_old, new.F - kin_new)
+
+    def step(self, cur: _Points, V, noise):
+        """One transition of every chain: (next points, next momentum,
+        accepted flags, log-ratios, proposed indices)."""
+        idx_star, aux, rows_f = self.propose(cur, V, noise)
+        new = self.evaluate(idx_star)
+        if self.kernel_id == "git_gibbs":
+            m = idx_star.shape[0]
+            return new, None, np.ones(m, dtype=bool), np.zeros(m), idx_star
+        ratio = self.log_ratio(cur, aux, rows_f, new)
+        delta = ratio.delta
+        finite = np.isfinite(delta)
+        if not finite.all():
+            raise NumericGuardError(f"non-finite acceptance log-ratio in chain {np.argmin(finite)}")
+        accept = (delta >= 0.0) | (noise[2] < np.exp(np.minimum(delta, 0.0)))
+        keep = accept[:, None]
+        idx = np.where(keep, idx_star, cur.idx)
+        G = None if cur.G is None else np.where(keep, new.G, cur.G)
+        nxt = _Points(idx, self.vals[idx], np.where(accept, new.F, cur.F), G)
+        V = np.where(keep, ratio.v_star, -aux) if self.momentum else None
+        return nxt, V, accept, delta, idx_star
+
+
+def step_kernel(kernel_id: str, state: ChainState, target: TargetModel, pre, config: SamplerConfig, rng, noise=None) -> StepOutcome:
+    """Uniform dispatcher over the kernel registry: one step of one chain,
+    as a one-chain call of the lockstep core."""
+    core = _Core(kernel_id, target, pre, config)
+    if core.momentum and state.v is None:
+        raise InvalidStateError("momentum kernel requires a state with momentum")
+    if noise is None:
+        noise = _draw_noise(kernel_id, [rng], target.lattice.dim, config.epsilon)
+    else:  # metropolis noise has no normals; at epsilon = 1 they may be None
+        *normals, coord, acc_u = noise
+        normals = np.asarray(normals[0])[None] if normals and normals[0] is not None else None
+        noise = (normals, np.asarray(coord)[None], np.array([acc_u]))
+    cur = core.evaluate(target.lattice.index_of(state.s)[None])
+    V = None if state.v is None else np.asarray(state.v)[None]
+    nxt, V, accepted, delta, idx_star = core.step(cur, V, noise)
+    v_next = None if V is None else V[0]
+    return StepOutcome(ChainState(nxt.S[0], v_next), bool(accepted[0]), float(delta[0]), core.vals[idx_star[0]])
+
+
+def _transition_terms(kernel_id, s_t, v_half, s_star, target, pre, config):
+    core = _Core(kernel_id, target, pre, config)
+    both = core.evaluate(target.lattice.index_of(np.stack([s_t, s_star])))
+    cur, new = (_Points(*(field[k : k + 1] for field in both)) for k in (0, 1))
+    v_half = np.asarray(v_half, dtype=float)[None]
+    ratio = core.log_ratio(cur, v_half, core.forward_rows(cur, v_half), new)
+    return {name: value[0] for name, value in ratio._asdict().items()}
+
+
+def git_gibbs_step(state: ChainState, target: TargetModel, pre: Preconditioner, rng, noise=None) -> StepOutcome:
+    """Auxiliary-variable Gibbs sweep for quadratic targets; never rejects.
+
+    Consumes the same variate pattern as the accept-reject kernels so that
+    shared-seed trajectory comparisons line up step for step.
+    """
+    return step_kernel("git_gibbs", state, target, pre, SamplerConfig(), rng, noise)
+
+
+def pavg_step(state: ChainState, target: TargetModel, pre: Preconditioner, rng, noise=None) -> StepOutcome:
+    """Preconditioned auxiliary-variable step (momentum-free kernel)."""
+    return step_kernel("pavg", state, target, pre, SamplerConfig(), rng, noise)
+
+
+def vpdhams_transition_terms(s_t, v_half, s_star, target: TargetModel, pre: Preconditioner, config: SamplerConfig):
+    """Closed-form quantities of the momentum kernel for a given proposal.
+
+    Returns a dict with the deterministic momentum proposal ``v_star``, the
+    normalized forward/backward proposal log-probabilities, the joint
+    log-densities (up to the shared constant) of the endpoints, and the
+    acceptance log-ratio ``delta``.
+    """
+    return _transition_terms("vpdhams", s_t, v_half, s_star, target, pre, config)
+
+
+def vpdhams_step(state: ChainState, target: TargetModel, pre: Preconditioner, config: SamplerConfig, rng, noise=None) -> StepOutcome:
+    """Momentum kernel: partial refresh, negated-momentum proposal, gradient
+    correction, generalized Metropolis acceptance.  Rejection stores the
+    negated intermediate momentum."""
+    return step_kernel("vpdhams", state, target, pre, config, rng, noise)
+
+
+def opdhams_transition_terms(s_t, v_half, s_star, target: TargetModel, pre: Preconditioner, config: SamplerConfig):
+    """Like :func:`vpdhams_transition_terms` but with over-relaxed proposal
+    probabilities computed from the exact conditional law per coordinate."""
+    return _transition_terms("opdhams", s_t, v_half, s_star, target, pre, config)
+
+
+def opdhams_step(state: ChainState, target: TargetModel, pre: Preconditioner, config: SamplerConfig, rng, noise=None) -> StepOutcome:
+    """Momentum kernel with the state proposed coordinate-wise by CDF-space
+    over-relaxation around the current point."""
+    return step_kernel("opdhams", state, target, pre, config, rng, noise)
+
+
+def metropolis_step(state: ChainState, target: TargetModel, r: int, rng, noise=None) -> StepOutcome:
+    """Random-walk baseline: per coordinate, propose uniformly among values
+    within index distance ``r`` (clipped at the lattice ends, current value
+    permitted), with the clipping asymmetry corrected in the acceptance."""
+    return step_kernel("metropolis", state, target, None, SamplerConfig(r=r), rng, noise)
 
 
 def run_chains(
@@ -399,16 +362,14 @@ def run_chains(
 ) -> ChainRunResult:
     """Advance independent chains in lockstep with per-chain generators.
 
-    Chain ``i`` consumes exactly the variates its solo ``*_step`` twin would,
-    in the same order, so a one-chain lockstep run reproduces the solo
-    trajectory bit for bit.  Momentum kernels draw their initial momentum
-    from each chain's generator before the first step.
+    Chain ``i`` consumes the variates of the documented order from its own
+    generator, so a chain's trajectory does not depend on the other chains.
+    Momentum kernels draw their initial momentum from each chain's generator
+    before the first step.
     """
-    if kernel_id not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel_id!r}")
-    lattice = target.lattice
+    core = _Core(kernel_id, target, pre, config)
     m = len(rngs)
-    d = lattice.dim
+    d = target.lattice.dim
     idx = np.asarray(init_indices, dtype=np.int64)
     if idx.shape != (m, d):
         raise ValueError("init_indices must be (n_chains, dim)")
@@ -417,164 +378,20 @@ def run_chains(
     out_energy = np.empty((m, n_steps))
     out_accept = np.empty((m, n_steps), dtype=bool)
 
-    if kernel_id == "metropolis":
-        _run_metropolis(target, config, n_steps, rngs, idx, out_idx, out_energy, out_accept)
-    else:
-        if pre is None:
-            raise ValueError(f"kernel {kernel_id!r} requires a preconditioner")
-        if kernel_id == "git_gibbs":
-            _require_quadratic_match(target, pre)
-        _run_product_family(
-            kernel_id, target, pre, config, n_steps, rngs, idx, out_idx, out_energy, out_accept
-        )
-    return ChainRunResult(out_idx, out_energy, out_accept)
-
-
-def _run_metropolis(target, config, n_steps, rngs, idx, out_idx, out_energy, out_accept):
-    lattice = target.lattice
-    vals = lattice.values
-    K = lattice.n_values
-    m, d = idx.shape
-    r = config.r
-    S = vals[idx]
-    F = target.f_batch(S)
-    coord_u = np.empty((m, d))
-    acc_u = np.empty(m)
-    for t in range(n_steps):
-        for i, g in enumerate(rngs):
-            coord_u[i] = g.random(d)
-        lo = np.maximum(idx - r, 0)
-        hi = np.minimum(idx + r, K - 1)
-        width = hi - lo + 1
-        idx_star = lo + np.minimum((coord_u * width).astype(np.int64), width - 1)
-        S_star = vals[idx_star]
-        F_star = target.f_batch(S_star)
-        width_b = np.minimum(idx_star + r, K - 1) - np.maximum(idx_star - r, 0) + 1
-        delta = F_star - F + np.log(width).sum(axis=1) - np.log(width_b).sum(axis=1)
-        for i, g in enumerate(rngs):
-            acc_u[i] = g.random()
-        accept = (delta >= 0.0) | (acc_u < np.exp(np.minimum(delta, 0.0)))
-        idx = np.where(accept[:, None], idx_star, idx)
-        F = np.where(accept, F_star, F)
-        out_idx[:, t] = idx
-        out_energy[:, t] = F
-        out_accept[:, t] = accept
-
-
-def _run_product_family(kernel_id, target, pre, config, n_steps, rngs, idx, out_idx, out_energy, out_accept):
-    lattice = target.lattice
-    vals = lattice.values
-    m, d = idx.shape
-    momentum = kernel_id in MOMENTUM_KERNELS
-    over_relaxed = kernel_id == "opdhams"
-    gibbs = kernel_id == "git_gibbs"
-
-    W = pre.W
-    Wl = pre.W_shifted
-    L = pre.L
-    LinvT_T = pre.L_inv_T.T
-    lam = pre.lam
-    quad_term = -0.5 * lam * vals**2
-    eps = config.epsilon
-    refresh_scale = math.sqrt(1.0 - eps * eps)
-    phi = config.phi
-    beta = config.beta
-
-    S = vals[idx]
-    F = target.f_batch(S)
-    G = target.grad_batch(S)
+    cur = core.evaluate(idx)
     V = None
-    if momentum:
+    if core.momentum:
         V = np.empty((m, d))
         for i, g in enumerate(rngs):
-            V[i] = g.standard_normal(d) @ LinvT_T
-
-    normals = np.empty((m, d))
-    coord_u = np.empty((m, d))
-    pairs = np.empty((m, d, 2))
-    acc_u = np.empty(m)
-
-    degenerate_refresh = momentum and eps == 1.0
+            V[i] = momentum_init(pre, g)
     for t in range(n_steps):
-        if not degenerate_refresh:
-            for i, g in enumerate(rngs):
-                normals[i] = g.standard_normal(d)
-        if momentum:
-            v_half = V if degenerate_refresh else eps * V + refresh_scale * (normals @ LinvT_T)
-            z = S - v_half
-        else:
-            z = S + normals @ LinvT_T
-        coeff = G - S @ W
-        coeff = coeff + z @ Wl
-        if not np.all(np.isfinite(coeff)):
-            raise NumericGuardError("non-finite proposal logits")
-        log_rows = _log_rows_batch(coeff, lam, vals, quad_term)
-        pmf = np.exp(log_rows)
-
-        if over_relaxed:
-            for i, g in enumerate(rngs):
-                pairs[i] = g.random((d, 2))
-            cdf_f = np.cumsum(pmf, axis=-1)
-            cdf_f[..., -1] = 1.0
-            idx_star = over_relax_rows_from_cdf(cdf_f, idx, beta, pairs[..., 0], pairs[..., 1])
-            lp_f = over_relax_log_prob_rows(cdf_f, idx, idx_star, beta).sum(axis=-1)
-        else:
-            for i, g in enumerate(rngs):
-                coord_u[i] = g.random(d)
-            idx_star = sample_rows_inverse_cdf(pmf, coord_u)
-            lp_f = _take_point_logprob(log_rows, idx_star)
-
-        S_star = vals[idx_star]
-        F_star = target.f_batch(S_star)
-
-        if gibbs:
-            for i, g in enumerate(rngs):
-                acc_u[i] = g.random()  # parity with the accept-reject kernels
-            idx = idx_star
-            S = S_star
-            F = F_star
-            G = target.grad_batch(S_star)
-            out_idx[:, t] = idx
-            out_energy[:, t] = F
-            out_accept[:, t] = True
-            continue
-
-        G_star = target.grad_batch(S_star)
-        if momentum:
-            v_star = -v_half + S - S_star + phi * (G_star - G + (S - S_star) @ W)
-            z_b = S_star + v_star
-            kin_new = 0.5 * ((v_star @ L) ** 2).sum(axis=1)
-            kin_old = 0.5 * ((v_half @ L) ** 2).sum(axis=1)
-        else:
-            z_b = z
-            kin_new = 0.5 * (((z - S_star) @ L) ** 2).sum(axis=1)
-            kin_old = 0.5 * (((z - S) @ L) ** 2).sum(axis=1)
-        coeff_b = G_star - S_star @ W
-        coeff_b = coeff_b + z_b @ Wl
-        if not np.all(np.isfinite(coeff_b)):
-            raise NumericGuardError("non-finite proposal logits")
-        log_rows_b = _log_rows_batch(coeff_b, lam, vals, quad_term)
-        if over_relaxed:
-            cdf_b = np.cumsum(np.exp(log_rows_b), axis=-1)
-            cdf_b[..., -1] = 1.0
-            lp_b = over_relax_log_prob_rows(cdf_b, idx_star, idx, beta).sum(axis=-1)
-        else:
-            lp_b = _take_point_logprob(log_rows_b, idx)
-
-        with np.errstate(invalid="ignore"):
-            delta = F_star - F - kin_new + kin_old + lp_b - lp_f
-        if not np.all(np.isfinite(delta)):
-            raise NumericGuardError("non-finite acceptance log-ratio")
-        for i, g in enumerate(rngs):
-            acc_u[i] = g.random()
-        accept = (delta >= 0.0) | (acc_u < np.exp(np.minimum(delta, 0.0)))
-
-        idx = np.where(accept[:, None], idx_star, idx)
-        S = vals[idx]
-        F = np.where(accept, F_star, F)
-        G = np.where(accept[:, None], G_star, G)
-        if momentum:
-            V = np.where(accept[:, None], v_star, -v_half)
-        out_idx[:, t] = idx
-        out_energy[:, t] = F
+        noise = _draw_noise(kernel_id, rngs, d, config.epsilon)
+        try:
+            cur, V, accept, _, _ = core.step(cur, V, noise)
+        except NumericGuardError as exc:
+            exc.args = (f"step {t}: {exc}",)
+            raise
+        out_idx[:, t] = cur.idx
+        out_energy[:, t] = cur.F
         out_accept[:, t] = accept
+    return ChainRunResult(out_idx, out_energy, out_accept)

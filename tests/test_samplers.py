@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ from latmc.precondition import (
     first_order_preconditioner,
     lambda_shift,
 )
-from latmc.proposals import build_proposal
+from latmc.proposals import proposal_log_rows
 from latmc.samplers import (
     ChainState,
     SamplerConfig,
-    first_order_specialize,
     git_gibbs_step,
     metropolis_step,
     momentum_init,
@@ -104,11 +104,11 @@ class TestRejectionFree:
 
     def test_w_zero_pavg_is_not_rejection_free(self, rng):
         t = discrete_gaussian(2, 3, 2.0, 0.5)
-        bound = first_order_specialize("pavg", 0.5, 2)
+        pre = first_order_preconditioner(2, 0.5)
         state = ChainState(t.lattice.random_point(rng))
         ratios = []
         for _ in range(100):
-            out = bound.step(state, t, SamplerConfig(delta=0.5), rng)
+            out = step_kernel("pavg", state, t, pre, SamplerConfig(delta=0.5), rng)
             ratios.append(out.log_accept_ratio)
             state = out.next
         assert max(abs(r) for r in ratios) > 1e-6
@@ -245,9 +245,6 @@ class TestReductions:
         while checks < 1000:
             s = t.lattice.random_point(rng)
             v_half = momentum_init(pre, rng)
-            fwd = build_proposal(
-                t.grad_f(s), s, s - v_half, pre, t.lattice.values
-            )
             for s_star in points:
                 vanilla = vpdhams_transition_terms(s, v_half, s_star, t, pre, cfg)
                 relaxed = opdhams_transition_terms(s, v_half, s_star, t, pre, cfg)
@@ -362,19 +359,15 @@ class TestKernelLawConsistency:
 
 
 class TestFirstOrderSpecialization:
-    def test_requires_momentum_or_aux_kernel(self):
-        with pytest.raises(ValueError):
-            first_order_specialize("metropolis", 0.5, 3)
-
     def test_proposal_reduces_to_gradient_form(self, rng):
-        bound = first_order_specialize("pavg", 0.7, 3)
-        pre = bound.pre
+        pre = first_order_preconditioner(3, 0.7)
         grad = rng.normal(size=3)
         z = rng.normal(size=3)
         values = np.linspace(-2, 2, 5)
-        dist = build_proposal(grad, rng.normal(size=3), z, pre, values)
+        rows = proposal_log_rows(grad, rng.normal(size=3), z, pre, values)
         manual = -0.5 * 0.7 * values[None, :] ** 2 + (grad + 0.7 * z)[:, None] * values[None, :]
-        assert np.abs(dist.logits - manual).max() < 1e-12
+        manual = manual - np.log(np.exp(manual).sum(axis=1, keepdims=True))
+        assert np.abs(rows - manual).max() < 1e-12
 
 
 class TestGuards:
@@ -399,10 +392,73 @@ class TestGuards:
             def f(self, s):
                 return float("nan")
 
+            def f_batch(self, points):
+                return np.full(len(points), np.nan)
+
         t = Broken(integer_lattice(2, 1), -np.eye(2), np.zeros(2))
         pre = first_order_preconditioner(2, 0.5)
         with pytest.raises(NumericGuardError):
             pavg_step(ChainState(np.zeros(2)), t, pre, rng)
+
+
+class NaNAfter(QuadraticTarget):
+    """Quadratic target whose batched energy (or gradient) turns NaN for one
+    chain from its ``calls``-th evaluation on."""
+
+    def __init__(self, chain, calls, where="f"):
+        super().__init__(integer_lattice(2, 3), -0.2 * np.eye(2), np.zeros(2))
+        self.chain, self.calls, self.where, self.seen = chain, calls, where, 0
+
+    def _spoil(self, out, where):
+        if where == self.where:
+            self.seen += 1
+            if self.seen >= self.calls:
+                out[self.chain] = np.nan
+        return out
+
+    def f_batch(self, points):
+        return self._spoil(super().f_batch(points), "f")
+
+    def grad_batch(self, points):
+        return self._spoil(super().grad_batch(points), "grad")
+
+
+class TestGuardMessages:
+    @pytest.mark.parametrize("kernel", ["metropolis", "pavg", "opdhams"])
+    def test_nan_energy_names_step_and_chain(self, kernel):
+        t = NaNAfter(chain=2, calls=5)
+        pre = None if kernel == "metropolis" else first_order_preconditioner(2, 0.3)
+        rngs = [chain_rng(4, i) for i in range(4)]
+        init = np.zeros((4, 2), dtype=np.int64)
+        with pytest.raises(NumericGuardError, match="acceptance log-ratio") as err:
+            run_chains(kernel, t, pre, SamplerConfig(delta=0.3, beta=0.3), 10, rngs, init)
+        # f_batch runs once at the start and once per step
+        assert "step 3" in str(err.value)
+        assert "chain 2" in str(err.value)
+
+    def test_nan_gradient_names_step_and_chain(self):
+        t = NaNAfter(chain=1, calls=3, where="grad")
+        pre = first_order_preconditioner(2, 0.3)
+        rngs = [chain_rng(4, i) for i in range(3)]
+        init = np.zeros((3, 2), dtype=np.int64)
+        with pytest.raises(NumericGuardError, match="proposal logits") as err:
+            run_chains("vpdhams", t, pre, SamplerConfig(delta=0.3), 10, rngs, init)
+        assert "step 1" in str(err.value)
+        assert "chain 1" in str(err.value)
+
+
+def test_opdhams_far_off_mode_starts_stay_finite():
+    # opdhams on the full discrete Gaussian from the harness's uniform starts
+    # with seed 2: cumsum-built CDF rows used to overshoot 1 here, giving the
+    # log of a negative interval width at the first step
+    t = discrete_gaussian(8, 10, 5.0, 0.9)
+    pre = exact_quadratic_preconditioner(t, 0.058)
+    rngs = [chain_rng(2, i) for i in range(100)]
+    init = np.stack([g.integers(0, t.lattice.n_values, size=8) for g in rngs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_chains("opdhams", t, pre, SamplerConfig(epsilon=0.9, delta=0.058), 3, rngs, init)
+    assert np.all(np.isfinite(res.energies))
 
 
 class TestLockstepDriver:
