@@ -22,7 +22,19 @@ class RankDeficiencyError(CalibrationError):
 
 
 class NumericGuardError(LatmcError):
-    """A non-finite quantity appeared where a finite one is required."""
+    """A non-finite quantity appeared where a finite one is required.
+
+    ``quantity`` names it, ``chain`` is the first offending chain of a batch
+    and ``step`` the step of a lockstep run; either may be None.
+    """
+
+    def __init__(self, quantity: str, chain: int | None = None, step: int | None = None):
+        self.quantity, self.chain, self.step = quantity, chain, step
+        text = f"non-finite {quantity}" + ("" if chain is None else f" in chain {chain}")
+        super().__init__(text if step is None else f"step {step}: {text}")
+
+    def __reduce__(self):
+        return type(self), (self.quantity, self.chain, self.step)
 
 
 class EnumerationBudgetError(LatmcError):

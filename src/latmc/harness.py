@@ -46,6 +46,16 @@ from .targets import (
 from .tuning import staged_grid_search
 
 CALIBRATION_METHODS = ("gradient_diff", "energy_diff", "exact_quadratic", "none")
+CONFIG_KEYS = frozenset({
+    "target", "kernel", "sampler", "calibration", "chains", "length", "burn_in", "base_seed",
+    "output_dir", "checkpoints", "tv_coords", "workers", "cond_threshold", "tune",
+})
+CALIBRATION_KEYS = frozenset({
+    "method", "solver", "burn_in_kernel", "burn_in_steps", "burn_in_delta", "burn_in_r",
+})
+SEEDING_SCHEME = (
+    "numpy Philox via SeedSequence(entropy=base_seed, spawn_key=(stream,)); fixed-width doubles v2"
+)
 
 # Reserved spawn keys; experiment chains use their chain index.
 CALIBRATION_STREAM = 1 << 20
@@ -121,6 +131,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        _reject_unknown_keys(payload, CONFIG_KEYS, "config")
         try:
             target = dict(payload["target"])
             kernel = str(payload["kernel"])
@@ -146,6 +157,7 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sampler block: {exc}") from exc
         calibration = dict(payload.get("calibration", {"method": "none"}))
+        _reject_unknown_keys(calibration, CALIBRATION_KEYS, "calibration")
         method = calibration.setdefault("method", "none")
         if method not in CALIBRATION_METHODS:
             raise ConfigError(
@@ -155,6 +167,9 @@ class ExperimentConfig:
         if any(c < 1 or c > length for c in checkpoints):
             raise ConfigError("checkpoints must lie in [1, length]")
         tv_coords = [tuple(int(i) for i in pair) for pair in payload.get("tv_coords", [])]
+        for coords in tv_coords:
+            if not coords or min(coords) < 0 or len(set(coords)) < len(coords):
+                raise ConfigError(f"tv_coords entry {list(coords)} needs distinct nonnegative axes")
         workers = int(payload.get("workers", 1))
         if workers < 1:
             raise ConfigError("workers must be >= 1")
@@ -180,6 +195,20 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
         return cls.from_dict(payload)
+
+
+def _reject_unknown_keys(mapping: dict, known, where: str):
+    unknown = sorted(set(mapping) - known, key=str)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(map(str, unknown))}")
+
+
+def _check_tv_coords(config: ExperimentConfig, target: TargetModel):
+    """Reject ``tv_coords`` axes beyond the target's dimension."""
+    d = target.lattice.dim
+    for coords in config.tv_coords:
+        if max(coords) >= d:
+            raise ConfigError(f"tv_coords entry {list(coords)} has an axis outside [0, {d})")
 
 
 def _collect_calibration_sample(config: ExperimentConfig, target: TargetModel) -> CalibrationSample:
@@ -378,6 +407,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """Calibrate, run all chains, and write chain CSVs, metric CSVs, and the
     reproducibility manifest into the output directory."""
     target = build_target(config.target)
+    _check_tv_coords(config, target)
     pre, calib_info = build_preconditioner(config, target)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -408,7 +438,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         "preconditioner": None if pre is None else pre.to_dict(),
         "lattice_values": values.tolist(),
         "seeding": {
-            "scheme": "numpy Philox via SeedSequence(entropy=base_seed, spawn_key=(stream,))",
+            "scheme": SEEDING_SCHEME,
             "base_seed": config.base_seed,
             "chain_streams": f"0..{config.chains - 1}",
             "calibration_stream": CALIBRATION_STREAM,
@@ -444,6 +474,7 @@ def recompute_metrics(run_dir, out_dir=None) -> Path:
         manifest = json.load(fh)
     config = ExperimentConfig.from_dict(manifest["config"])
     target = build_target(config.target)
+    _check_tv_coords(config, target)
     chain_paths = sorted((run_dir / "chains").glob(f"{CHAIN_CSV_PREFIX}*.csv"))
     if len(chain_paths) != config.chains:
         raise ConfigError(

@@ -32,7 +32,7 @@ def proposal_log_rows(grad, s_ref, z, pre: Preconditioner, values) -> np.ndarray
     coeff = coeff + z @ pre.W_shifted
     finite = np.isfinite(coeff).reshape(-1, coeff.shape[-1]).all(axis=1)
     if not finite.all():
-        raise NumericGuardError(f"non-finite proposal logits in chain {np.argmin(finite)}")
+        raise NumericGuardError("proposal logits", int(np.argmin(finite)))
     logits = -0.5 * pre.lam * values**2 + coeff[..., None] * values
     peak = logits.max(axis=-1)
     log_norms = np.log(np.exp(logits - peak[..., None]).sum(axis=-1)) + peak

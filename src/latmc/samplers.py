@@ -10,19 +10,26 @@ core over steps; the solo ``*_step`` functions and the
 ``*_transition_terms`` are one-chain calls of the same core.
 
 Randomness consumption per step is fixed so that shared-seed comparisons are
-well defined.  Each chain draws from its own generator, in this order:
+well defined.  Each chain draws from its own generator, and every step takes
+the same number of uniform doubles from it, ``n_normals + n_coord + 1``, in
+this order:
 
-* ``git_gibbs`` / ``pavg``: d standard normals, d coordinate uniforms
+* ``git_gibbs`` / ``pavg``: d refresh normals, d coordinate uniforms
   (ascending), one acceptance uniform (drawn and ignored by ``git_gibbs``).
-* ``vpdhams``: d standard normals (momentum refresh), d coordinate uniforms,
+* ``vpdhams``: d refresh normals (momentum refresh), d coordinate uniforms,
   one acceptance uniform.
-* ``opdhams``: d standard normals, two uniforms per coordinate ascending
+* ``opdhams``: d refresh normals, two uniforms per coordinate ascending
   (interval draw, reflection draw), one acceptance uniform.
 * ``metropolis``: d coordinate uniforms, one acceptance uniform.
 
-At exactly ``epsilon = 1`` the refresh is degenerate (the intermediate
-momentum equals the current momentum) and the momentum kernels skip the
-normal draws entirely.
+A refresh normal takes one double: :func:`standard_normals` maps
+``u = k 2^-53`` to ``ndtri(u + 2^-54)``.  At exactly ``epsilon = 1`` the
+refresh is degenerate (the intermediate momentum equals the current
+momentum) and the momentum kernels take no refresh doubles.  The initial
+momentum of :func:`momentum_init` takes d doubles the same way, so a chain's
+stream is nothing but ``random()`` doubles.  Because a step's width is
+fixed, :func:`run_chains` draws whole blocks of steps with one call per
+chain; the block size bounds memory only and cannot change a trajectory.
 
 Each solo step accepts an optional pre-drawn ``noise`` tuple in the same
 order, which substitutes for the generator draws.
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ContractError, InvalidStateError, NumericGuardError
 from .precondition import Preconditioner
@@ -50,6 +58,10 @@ from .targets import TargetModel
 
 KERNELS = ("metropolis", "git_gibbs", "pavg", "vpdhams", "opdhams")
 MOMENTUM_KERNELS = ("vpdhams", "opdhams")
+
+# Doubles per run_chains noise block (128 KB); it bounds memory only, since a
+# step takes the same doubles whatever block they are drawn in.
+NOISE_BLOCK_DOUBLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -104,9 +116,23 @@ class ChainRunResult:
         return self.indices.shape[0]
 
 
+def standard_normals(u) -> np.ndarray:
+    """Standard normals by inversion, one per uniform double ``u = k 2^-53``:
+    ``ndtri((k + 1/2) 2^-53)``, finite for every k and exactly odd under
+    ``k -> 2^53 - 1 - k``.  The upper half is evaluated as the mirror of the
+    lower tail, where every intermediate is exact."""
+    h = np.asarray(u, dtype=float) - 0.5
+    z = np.array(h + 2.0**-54)  # the only temporary beside h: noise blocks can be large
+    np.abs(z, out=z)
+    np.subtract(0.5, z, out=z)
+    ndtri(z, out=z)
+    return np.copysign(z, h, out=z)
+
+
 def momentum_init(pre: Preconditioner, rng) -> np.ndarray:
-    """Stationary momentum draw, distributed N(0, (W + lam I)^-1)."""
-    return rng.standard_normal(pre.dim) @ pre.L_inv_T.T
+    """Stationary momentum draw, distributed N(0, (W + lam I)^-1), from d
+    uniform doubles."""
+    return standard_normals(rng.random(pre.dim)) @ pre.L_inv_T.T
 
 
 def _require_quadratic_match(target: TargetModel, pre: Preconditioner):
@@ -117,22 +143,29 @@ def _require_quadratic_match(target: TargetModel, pre: Preconditioner):
         raise ContractError("preconditioner W does not match the target's quadratic matrix")
 
 
-def _draw_noise(kernel_id, rngs, d, eps):
-    """One step's variates for every chain, each from its own generator in
-    the documented order: (refresh normals or None, coordinate uniforms
-    (pairs for opdhams), acceptance uniforms)."""
-    m = len(rngs)
+def _noise_widths(kernel_id, d, eps):
+    """Refresh normals and coordinate uniforms per step; a step takes one
+    more double, the acceptance uniform."""
     refresh = kernel_id != "metropolis" and not (kernel_id in MOMENTUM_KERNELS and eps == 1.0)
-    pairs = kernel_id == "opdhams"
-    normals = np.empty((m, d)) if refresh else None
-    coord = np.empty((m, d, 2) if pairs else (m, d))
-    acc = np.empty(m)
+    return (d if refresh else 0), (2 * d if kernel_id == "opdhams" else d)
+
+
+def _draw_noise(kernel_id, rngs, d, eps, steps):
+    """Variates of ``steps`` steps for every chain, one ``random`` call per
+    generator: (refresh normals or None, coordinate uniforms (pairs for
+    opdhams), acceptance uniforms), each with leading axes (steps, chains)."""
+    n_norm, n_coord = _noise_widths(kernel_id, d, eps)
+    u = np.empty((steps, len(rngs), n_norm + n_coord + 1))
     for i, g in enumerate(rngs):
-        if refresh:
-            normals[i] = g.standard_normal(d)
-        coord[i] = g.random((d, 2)) if pairs else g.random(d)
-        acc[i] = g.random()
-    return normals, coord, acc
+        u[:, i] = g.random((steps, u.shape[2]))
+    normals = None
+    if n_norm:
+        normals = u[..., :n_norm]
+        normals[...] = standard_normals(normals)  # in place, so u holds the whole block
+    coord = u[..., n_norm : n_norm + n_coord]
+    if kernel_id == "opdhams":
+        coord = coord.reshape(steps, len(rngs), d, 2)
+    return normals, coord, u[..., -1]
 
 
 class _Points(NamedTuple):
@@ -262,7 +295,7 @@ class _Core:
         delta = ratio.delta
         finite = np.isfinite(delta)
         if not finite.all():
-            raise NumericGuardError(f"non-finite acceptance log-ratio in chain {np.argmin(finite)}")
+            raise NumericGuardError("acceptance log-ratio", int(np.argmin(finite)))
         accept = (delta >= 0.0) | (noise[2] < np.exp(np.minimum(delta, 0.0)))
         keep = accept[:, None]
         idx = np.where(keep, idx_star, cur.idx)
@@ -279,7 +312,8 @@ def step_kernel(kernel_id: str, state: ChainState, target: TargetModel, pre, con
     if core.momentum and state.v is None:
         raise InvalidStateError("momentum kernel requires a state with momentum")
     if noise is None:
-        noise = _draw_noise(kernel_id, [rng], target.lattice.dim, config.epsilon)
+        drawn = _draw_noise(kernel_id, [rng], target.lattice.dim, config.epsilon, 1)
+        noise = tuple(None if x is None else x[0] for x in drawn)
     else:  # metropolis noise has no normals; at epsilon = 1 they may be None
         *normals, coord, acc_u = noise
         normals = np.asarray(normals[0])[None] if normals and normals[0] is not None else None
@@ -365,7 +399,8 @@ def run_chains(
     Chain ``i`` consumes the variates of the documented order from its own
     generator, so a chain's trajectory does not depend on the other chains.
     Momentum kernels draw their initial momentum from each chain's generator
-    before the first step.
+    before the first step.  Indices are stored as int16 for lattices of up to
+    32768 values and as int32 above.
     """
     core = _Core(kernel_id, target, pre, config)
     m = len(rngs)
@@ -374,7 +409,8 @@ def run_chains(
     if idx.shape != (m, d):
         raise ValueError("init_indices must be (n_chains, dim)")
 
-    out_idx = np.empty((m, n_steps, d), dtype=np.int16)
+    index_dtype = np.int16 if target.lattice.n_values <= 1 << 15 else np.int32
+    out_idx = np.empty((m, n_steps, d), dtype=index_dtype)
     out_energy = np.empty((m, n_steps))
     out_accept = np.empty((m, n_steps), dtype=bool)
 
@@ -384,14 +420,18 @@ def run_chains(
         V = np.empty((m, d))
         for i, g in enumerate(rngs):
             V[i] = momentum_init(pre, g)
-    for t in range(n_steps):
-        noise = _draw_noise(kernel_id, rngs, d, config.epsilon)
-        try:
-            cur, V, accept, _, _ = core.step(cur, V, noise)
-        except NumericGuardError as exc:
-            exc.args = (f"step {t}: {exc}",)
-            raise
-        out_idx[:, t] = cur.idx
-        out_energy[:, t] = cur.F
-        out_accept[:, t] = accept
+    width = sum(_noise_widths(kernel_id, d, config.epsilon)) + 1
+    block = max(1, NOISE_BLOCK_DOUBLES // (m * width))
+    for t0 in range(0, n_steps, block):
+        normals, coord, acc = _draw_noise(kernel_id, rngs, d, config.epsilon, min(block, n_steps - t0))
+        for j in range(len(acc)):
+            t = t0 + j
+            noise = (None if normals is None else normals[j], coord[j], acc[j])
+            try:
+                cur, V, accept, _, _ = core.step(cur, V, noise)
+            except NumericGuardError as exc:
+                raise NumericGuardError(exc.quantity, exc.chain, t) from None
+            out_idx[:, t] = cur.idx
+            out_energy[:, t] = cur.F
+            out_accept[:, t] = accept
     return ChainRunResult(out_idx, out_energy, out_accept)

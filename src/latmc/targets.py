@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EnumerationBudgetError
 
@@ -158,31 +157,31 @@ class MixtureTarget(TargetModel):
         self.means = means
         self.variances = variances
 
-    def _log_kernels(self, s):
-        diff = s - self.means
-        return -0.5 * (diff * diff).sum(axis=1) / self.variances
+    def _log_kernels(self, points):
+        """Log-kernels ``(n, M)`` of the points ``(n, d)`` and ``means - points``."""
+        diff = self.means - points[:, None, :]
+        return -0.5 * (diff * diff).sum(axis=2) / self.variances, diff
+
+    @staticmethod
+    def _log_sum_exp(lk):
+        """Max-shifted log-sum-exp of each row of log-kernels."""
+        peak = lk.max(axis=1)
+        return peak + np.log(np.exp(lk - peak[:, None]).sum(axis=1))
 
     def f(self, s) -> float:
-        return float(logsumexp(self._log_kernels(np.asarray(s, dtype=float))))
+        return float(self.f_batch(np.asarray(s, dtype=float)[None])[0])
 
     def grad_f(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        lk = self._log_kernels(s)
-        w = np.exp(lk - logsumexp(lk))
-        return ((self.means - s) / self.variances[:, None] * w[:, None]).sum(axis=0)
+        return self.grad_batch(np.asarray(s, dtype=float)[None])[0]
 
     def f_batch(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        diff = points[:, None, :] - self.means[None, :, :]
-        lk = -0.5 * (diff * diff).sum(axis=2) / self.variances[None, :]
-        return logsumexp(lk, axis=1)
+        lk, _ = self._log_kernels(np.asarray(points, dtype=float))
+        return self._log_sum_exp(lk)
 
     def grad_batch(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        diff = self.means[None, :, :] - points[:, None, :]
-        lk = -0.5 * (diff * diff).sum(axis=2) / self.variances[None, :]
-        w = np.exp(lk - logsumexp(lk, axis=1)[:, None])
-        return (diff / self.variances[None, :, None] * w[:, :, None]).sum(axis=1)
+        lk, diff = self._log_kernels(np.asarray(points, dtype=float))
+        w = np.exp(lk - self._log_sum_exp(lk)[:, None])
+        return (diff / self.variances[:, None] * w[:, :, None]).sum(axis=1)
 
 
 def quadratic_mixture(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from latmc import harness
 from latmc.cli import main as cli_main
 from latmc.errors import ConfigError
 from latmc.harness import (
@@ -58,6 +59,27 @@ class TestConfig:
             base_config(tmp_path, calibration={"method": "bogus"})
         with pytest.raises(ConfigError):
             base_config(tmp_path, sampler={"delta": -1.0})
+
+    def test_unknown_keys_are_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="lenght"):
+            base_config(tmp_path, lenght=10)
+        with pytest.raises(ConfigError, match="burnin_steps"):
+            base_config(tmp_path, calibration={"method": "energy_diff", "burnin_steps": 10})
+
+    @pytest.mark.parametrize("coords", [[[0, 0]], [[-1, 1]], [[]]])
+    def test_malformed_tv_coords_rejected_at_load(self, tmp_path, coords):
+        with pytest.raises(ConfigError, match="tv_coords"):
+            base_config(tmp_path, tv_coords=coords)
+
+    def test_out_of_range_tv_coords_rejected_before_calibration(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("calibration started")
+
+        monkeypatch.setattr(harness, "build_preconditioner", must_not_run)
+        cfg = base_config(tmp_path, tv_coords=[[0, 2]])
+        with pytest.raises(ConfigError, match=r"outside \[0, 2\)"):
+            run_experiment(cfg)
+        assert not (tmp_path / "run").exists()
 
     def test_example_configs_parse(self):
         for path in Path("configs").glob("*.yaml"):

@@ -114,17 +114,15 @@ class TestSampleProduct:
         assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n)
 
     def test_consumes_one_uniform_per_coordinate(self):
-        # a momentum-free step draws d normals, one proposal uniform per
-        # coordinate and one acceptance uniform
+        # a momentum-free step takes exactly 2d + 1 doubles: one per refresh
+        # normal, one proposal uniform per coordinate and one acceptance uniform
         pre = first_order_preconditioner(2, 1.0)
         t = QuadraticTarget(integer_lattice(2, 1), -np.eye(2), np.zeros(2))
         g_used = np.random.default_rng(5)
         out = pavg_step(ChainState(np.zeros(2)), t, pre, g_used)
         assert out.proposal.shape == (2,)
         g_ref = np.random.default_rng(5)
-        g_ref.standard_normal(2)
-        g_ref.random(2)
-        g_ref.random()
+        g_ref.random(2 * 2 + 1)
         assert g_used.random() == g_ref.random()
 
 

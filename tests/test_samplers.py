@@ -1,9 +1,13 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import ndtri
 
+from latmc import samplers
 from latmc.errors import ContractError, InvalidStateError, NumericGuardError
 from latmc.precondition import (
     exact_quadratic_preconditioner,
@@ -22,11 +26,13 @@ from latmc.samplers import (
     opdhams_transition_terms,
     pavg_step,
     run_chains,
+    standard_normals,
     step_kernel,
     vpdhams_step,
     vpdhams_transition_terms,
 )
 from latmc.targets import (
+    LatticeSpec,
     QuadraticTarget,
     discrete_gaussian,
     enumerate_joint,
@@ -85,8 +91,34 @@ class TestMomentumInit:
         rng = np.random.default_rng(2)
         v = momentum_init(pre, rng)
         rng2 = np.random.default_rng(2)
-        z = rng2.standard_normal(4)
+        z = standard_normals(rng2.random(4))
         assert np.abs(pre.L.T @ v - z).max() < 1e-10
+
+
+class TestStandardNormals:
+    def test_finite_at_both_ends(self):
+        z = standard_normals(np.array([0.0, 1.0 - 2.0**-53]))
+        assert np.all(np.isfinite(z))
+        assert z[0] == ndtri(2.0**-54)
+        assert z[1] == -z[0]
+
+    def test_exactly_odd_and_matches_lower_tail_formula(self):
+        k = np.concatenate([
+            [0, 1, 2**51, 2**52 - 1, 2**52],
+            np.random.default_rng(7).integers(0, 2**53, size=1000),
+        ])
+        u = k * 2.0**-53
+        mirror = (2**53 - 1 - k) * 2.0**-53
+        assert np.array_equal(standard_normals(u), -standard_normals(mirror))
+        lower = u < 0.5
+        assert np.array_equal(standard_normals(u[lower]), ndtri(u[lower] + 2.0**-54))
+
+    def test_standard_normal_law(self):
+        z = standard_normals(chain_rng(17, 0).random(200_000))
+        assert stats.kstest(z, "norm").pvalue > 0.01
+        assert abs(z.mean()) < 4 / math.sqrt(z.size)
+        assert abs(z.var() - 1.0) < 4 * math.sqrt(2 / z.size)
+        assert abs(stats.skew(z)) < 4 * math.sqrt(6 / z.size)
 
 
 class TestRejectionFree:
@@ -435,6 +467,7 @@ class TestGuardMessages:
         # f_batch runs once at the start and once per step
         assert "step 3" in str(err.value)
         assert "chain 2" in str(err.value)
+        assert (err.value.quantity, err.value.chain, err.value.step) == ("acceptance log-ratio", 2, 3)
 
     def test_nan_gradient_names_step_and_chain(self):
         t = NaNAfter(chain=1, calls=3, where="grad")
@@ -445,6 +478,25 @@ class TestGuardMessages:
             run_chains("vpdhams", t, pre, SamplerConfig(delta=0.3), 10, rngs, init)
         assert "step 1" in str(err.value)
         assert "chain 1" in str(err.value)
+        assert (err.value.quantity, err.value.chain, err.value.step) == ("proposal logits", 1, 1)
+
+    def test_fields_and_message_survive_pickling(self):
+        # worker processes hand guard errors back pickled
+        err = NumericGuardError("acceptance log-ratio", 2, 3)
+        assert str(err) == "step 3: non-finite acceptance log-ratio in chain 2"
+        again = pickle.loads(pickle.dumps(err))
+        assert (str(again), again.quantity, again.chain, again.step) == (str(err), "acceptance log-ratio", 2, 3)
+
+
+def test_indices_do_not_wrap_on_large_lattices():
+    # more than 32768 values: indices no longer fit int16
+    K = 40_000
+    t = QuadraticTarget(LatticeSpec(1, np.arange(K, dtype=float)), np.array([[-1e-9]]), np.zeros(1))
+    rngs = [chain_rng(6, i) for i in range(3)]
+    init = np.array([[K - 1], [K - 2], [K // 2]])
+    res = run_chains("metropolis", t, None, SamplerConfig(r=5), 5, rngs, init)
+    assert res.indices.min() >= 0 and res.indices.max() < K
+    assert res.indices.max() > 32767
 
 
 def test_opdhams_far_off_mode_starts_stay_finite():
@@ -488,6 +540,33 @@ class TestLockstepDriver:
                 ), f"{kernel} chain {c} step {i}"
                 assert abs(t.f(state.s) - res.energies[c, i]) < 1e-12
                 assert bool(out.accepted) == bool(res.accepted[c, i])
+
+    @pytest.mark.parametrize("kernel", ["metropolis", "git_gibbs", "pavg", "vpdhams", "opdhams"])
+    def test_noise_block_size_does_not_change_trajectories(self, kernel, monkeypatch):
+        if kernel == "git_gibbs":
+            t = discrete_gaussian(2, 3, 2.0, 0.5)
+            pre = exact_quadratic_preconditioner(t, 0.3)
+        else:
+            t = small_mixture(d=2, k=3)
+            pre = tilted_preconditioner(2, delta=0.3, seed=21)
+        cfg = SamplerConfig(epsilon=0.8, delta=0.3, phi=0.4, beta=0.2, r=2)
+        m, n_steps = 3, 30
+        width = {"metropolis": 3, "opdhams": 7}.get(kernel, 5)  # doubles per step at d = 2
+        runs = []
+        for block in (1, 7, n_steps):  # the last block is partial for 7
+            monkeypatch.setattr(samplers, "NOISE_BLOCK_DOUBLES", block * m * width)
+            rngs = [chain_rng(8, i) for i in range(m)]
+            init = np.stack([g.integers(0, t.lattice.n_values, size=2) for g in rngs])
+            runs.append(run_chains(kernel, t, pre, cfg, n_steps, rngs, init))
+            # the blocks drew exactly the run's steps, after the initial momentum
+            g_ref = chain_rng(8, 0)
+            g_ref.integers(0, t.lattice.n_values, size=2)
+            g_ref.random((2 if kernel in ("vpdhams", "opdhams") else 0) + n_steps * width)
+            assert rngs[0].random() == g_ref.random()
+        for other in runs[1:]:
+            assert np.array_equal(other.indices, runs[0].indices)
+            assert np.array_equal(other.energies, runs[0].energies)
+            assert np.array_equal(other.accepted, runs[0].accepted)
 
     def test_energy_trace_matches_states(self, rng):
         t = small_mixture(d=2, k=2)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from latmc.errors import EnumerationBudgetError
 from latmc.targets import (
@@ -89,6 +90,20 @@ class TestQuadraticMixture:
         grad = t.grad_f(s)
         fd = finite_diff_grad(t, s)
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+    def test_log_sum_exp_matches_scipy(self, rng):
+        t = quadratic_mixture()
+        pts = rng.integers(-10, 11, size=(300, 10)).astype(float)
+        diff = t.means - pts[:, None, :]
+        lk = -0.5 * (diff**2).sum(axis=2) / t.variances
+        f_ref = logsumexp(lk, axis=1)
+        w = np.exp(lk - f_ref[:, None])
+        grad_ref = (diff / t.variances[:, None] * w[:, :, None]).sum(axis=1)
+        assert np.allclose(t.f_batch(pts), f_ref, rtol=1e-12, atol=0.0)
+        scale = np.abs(grad_ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(t.grad_batch(pts) - grad_ref) <= 1e-12 * scale)
+        assert t.f(pts[0]) == t.f_batch(pts[:1])[0]
+        assert np.array_equal(t.grad_f(pts[0]), t.grad_batch(pts[:1])[0])
 
     def test_no_overflow_at_far_corner(self):
         t = quadratic_mixture()
