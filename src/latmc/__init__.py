@@ -52,7 +52,6 @@ from .samplers import (
     vpdhams_step,
 )
 from .diagnostics import (
-    ChainRecord,
     acf,
     empirical_pmf,
     ess_multichain,

@@ -4,39 +4,10 @@ and moment estimation bias/variance summaries."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import SupportMismatchError, UndefinedESSError
-from .targets import LatticeSpec
-
-METRIC_CSV_HEADER = ("metric", "coords", "n_draws", "mean", "sd")
-
-
-@dataclass
-class ChainRecord:
-    """One chain's history: draws (as lattice values), matching energies,
-    accepted-step count over the recorded window, the seed descriptor, the
-    kernel id, and a snapshot of the configuration that produced it."""
-
-    draws: np.ndarray
-    energies: np.ndarray
-    accept_count: int
-    seed: object
-    kernel_id: str
-    config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.draws = np.asarray(self.draws, dtype=float)
-        self.energies = np.asarray(self.energies, dtype=float)
-        if self.draws.ndim != 2 or self.energies.shape != (self.draws.shape[0],):
-            raise ValueError("draws must be (T, d) with matching energies")
-
-    @property
-    def n_draws(self) -> int:
-        return int(self.draws.shape[0])
+from .targets import LatticeSpec, marginal
 
 
 def tv_distance(p, q) -> float:
@@ -48,15 +19,20 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
+def index_pmf(idx, n_values: int) -> np.ndarray:
+    """Frequency table of the rows of ``idx``, an (n, k) array of lattice
+    indices, over the K^k joint values."""
+    shape = (n_values,) * idx.shape[1]
+    flat = np.ravel_multi_index(tuple(idx.T), shape)
+    counts = np.bincount(flat, minlength=n_values ** idx.shape[1]).astype(float)
+    return (counts / counts.sum()).reshape(shape)
+
+
 def empirical_pmf(draws, lattice: LatticeSpec, coords) -> np.ndarray:
     """Frequency table of the selected coordinate tuple over the draws."""
     draws = np.asarray(draws, dtype=float)
-    coords = tuple(int(c) for c in coords)
-    K = lattice.n_values
-    idx = np.stack([lattice.index_of(draws[:, c]) for c in coords], axis=0)
-    flat = np.ravel_multi_index(idx, (K,) * len(coords))
-    counts = np.bincount(flat, minlength=K ** len(coords)).astype(float)
-    return (counts / counts.sum()).reshape((K,) * len(coords))
+    coords = [int(c) for c in coords]
+    return index_pmf(lattice.index_of(draws[:, coords]), lattice.n_values)
 
 
 def ess_multichain(x) -> float:
@@ -102,34 +78,26 @@ def exact_moments(pmf: np.ndarray, values: np.ndarray):
     diagonal).
     """
     d = pmf.ndim
-    mean = np.empty(d)
-    second = np.empty(d)
-    for i in range(d):
-        marg = pmf.sum(axis=tuple(a for a in range(d) if a != i))
-        mean[i] = marg @ values
-        second[i] = marg @ values**2
+    margs = [marginal(pmf, (i,)) for i in range(d)]
+    mean = np.array([marg @ values for marg in margs])
+    second = np.array([marg @ values**2 for marg in margs])
     cross = np.empty((d, d))
     for i in range(d):
         for j in range(d):
-            if i == j:
-                cross[i, j] = second[i]
-                continue
-            marg = pmf.sum(axis=tuple(a for a in range(d) if a not in (i, j)))
-            if i > j:
-                marg = marg.T
-            cross[i, j] = values @ marg @ values
+            cross[i, j] = second[i] if i == j else values @ marginal(pmf, (i, j)) @ values
     return mean, second, cross
 
 
-def moment_report(records, exact: dict | None = None) -> dict:
+def moment_report(chains, exact: dict | None = None) -> dict:
     """Across-chain squared bias and variance of E[s_i], E[s_i^2], E[s_i s_j].
 
     Per-chain estimates feed an across-chain mean (bias against the exact
     moments, when available) and variance; results are averaged over
     coordinates for the first two families and over index pairs for the
     cross moments.  Without exact moments the bias entries are None.
+    ``chains`` holds one (T, d) array of draws per chain.
     """
-    draws = [np.asarray(r.draws if isinstance(r, ChainRecord) else r, dtype=float) for r in records]
+    draws = [np.asarray(x, dtype=float) for x in chains]
     if len(draws) < 2:
         raise ValueError("need at least two chains for across-chain variance")
     d = draws[0].shape[1]
@@ -153,11 +121,3 @@ def moment_report(records, exact: dict | None = None) -> dict:
         report[name] = {"bias2": bias2, "variance": float(variance)}
     return report
 
-
-def write_metric_rows(path, rows):
-    """Write diagnostics rows with the ``metric,coords,n_draws,mean,sd`` schema."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_CSV_HEADER)
-        for metric, coords, n_draws, mean, sd in rows:
-            writer.writerow([metric, coords, n_draws, repr(float(mean)), repr(float(sd))])

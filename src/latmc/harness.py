@@ -15,17 +15,9 @@ import yaml
 
 from . import __version__
 from .errors import ConfigError, EnumerationBudgetError, UndefinedESSError
-from .diagnostics import (
-    ChainRecord,
-    ess_multichain,
-    exact_moments,
-    moment_report,
-    tv_distance,
-    write_metric_rows,
-)
+from .diagnostics import ess_multichain, exact_moments, index_pmf, moment_report, tv_distance
 from .precondition import (
     CalibrationSample,
-    Preconditioner,
     calibrate_w_energy_diff,
     calibrate_w_gradient_diff,
     exact_quadratic_preconditioner,
@@ -40,6 +32,7 @@ from .targets import (
     discrete_gaussian,
     enumerate_joint,
     integer_lattice,
+    marginal,
     quadratic_mixture,
     QuadraticTarget,
 )
@@ -53,6 +46,17 @@ CONFIG_KEYS = frozenset({
 CALIBRATION_KEYS = frozenset({
     "method", "solver", "burn_in_kernel", "burn_in_steps", "burn_in_delta", "burn_in_r",
 })
+TUNE_KEYS = frozenset({
+    "delta_grid", "phi_grid", "probe_chains", "probe_length", "probe_burn_in", "epsilon", "beta",
+})
+TARGET_KEYS = {
+    "discrete_gaussian": frozenset({"d", "k", "sigma", "rho"}),
+    "quadratic_mixture": frozenset({"d", "k", "M", "means", "variances"}),
+    "clock_potts": frozenset({"side", "q", "coupling"}),
+    "quadratic": frozenset({"k", "w_true", "b"}),
+}
+METRICS_HEADER = ("metric", "detail", "n_draws", "value")
+TV_HEADER = ("metric", "coords", "n_draws", "mean", "sd")
 SEEDING_SCHEME = (
     "numpy Philox via SeedSequence(entropy=base_seed, spawn_key=(stream,)); fixed-width doubles v2"
 )
@@ -77,6 +81,9 @@ def build_target(params: dict) -> TargetModel:
         name = params.pop("name")
     except KeyError as exc:
         raise ConfigError("target config needs a 'name'") from exc
+    if not isinstance(name, str) or name not in TARGET_KEYS:
+        raise ConfigError(f"unknown target {name!r}")
+    _reject_unknown_keys(params, TARGET_KEYS[name], f"{name} target")
     try:
         if name == "discrete_gaussian":
             return discrete_gaussian(
@@ -98,14 +105,12 @@ def build_target(params: dict) -> TargetModel:
                 side=int(params["side"]), q=int(params["q"]),
                 coupling=float(params.get("coupling", 1.0)),
             )
-        if name == "quadratic":
-            w_true = np.asarray(params["w_true"], dtype=float)
-            b = np.asarray(params.get("b", np.zeros(w_true.shape[0])), dtype=float)
-            lattice = integer_lattice(w_true.shape[0], int(params["k"]))
-            return QuadraticTarget(lattice, w_true, b)
+        w_true = np.asarray(params["w_true"], dtype=float)
+        b = np.asarray(params.get("b", np.zeros(w_true.shape[0])), dtype=float)
+        lattice = integer_lattice(w_true.shape[0], int(params["k"]))
+        return QuadraticTarget(lattice, w_true, b)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad target config for {name!r}: {exc}") from exc
-    raise ConfigError(f"unknown target {name!r}")
 
 
 @dataclass
@@ -140,6 +145,12 @@ class ExperimentConfig:
             burn_in = int(payload.get("burn_in", 0))
             base_seed = int(payload["base_seed"])
             output_dir = str(payload["output_dir"])
+            calibration = dict(payload.get("calibration", {"method": "none"}))
+            checkpoints = [int(c) for c in payload.get("checkpoints", [length])]
+            tv_coords = [tuple(int(i) for i in pair) for pair in payload.get("tv_coords", [])]
+            workers = int(payload.get("workers", 1))
+            cond_threshold = float(payload.get("cond_threshold", 100.0))
+            tune = dict(payload.get("tune", {}))
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -156,25 +167,20 @@ class ExperimentConfig:
             sampler = SamplerConfig(**payload.get("sampler", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sampler block: {exc}") from exc
-        calibration = dict(payload.get("calibration", {"method": "none"}))
         _reject_unknown_keys(calibration, CALIBRATION_KEYS, "calibration")
         method = calibration.setdefault("method", "none")
         if method not in CALIBRATION_METHODS:
             raise ConfigError(
                 f"unknown calibration method {method!r}; choose from {CALIBRATION_METHODS}"
             )
-        checkpoints = [int(c) for c in payload.get("checkpoints", [length])]
         if any(c < 1 or c > length for c in checkpoints):
             raise ConfigError("checkpoints must lie in [1, length]")
-        tv_coords = [tuple(int(i) for i in pair) for pair in payload.get("tv_coords", [])]
         for coords in tv_coords:
             if not coords or min(coords) < 0 or len(set(coords)) < len(coords):
                 raise ConfigError(f"tv_coords entry {list(coords)} needs distinct nonnegative axes")
-        workers = int(payload.get("workers", 1))
         if workers < 1:
             raise ConfigError("workers must be >= 1")
-        cond_threshold = float(payload.get("cond_threshold", 100.0))
-        tune = dict(payload.get("tune", {}))
+        _reject_unknown_keys(tune, TUNE_KEYS, "tune")
         raw = dict(payload)
         raw["calibration"] = calibration
         return cls(
@@ -270,11 +276,9 @@ def build_preconditioner(config: ExperimentConfig, target: TargetModel):
     return pre, info
 
 
-def _run_chain_block(config_raw: dict, pre_payload, chain_lo: int, chain_hi: int):
-    """Worker entry: rebuild everything from plain data and run a chain block."""
-    config = ExperimentConfig.from_dict(config_raw)
+def _run_chain_block(config: ExperimentConfig, pre, chain_lo: int, chain_hi: int):
+    """Worker entry: run the chains ``chain_lo..chain_hi-1`` of a validated config."""
     target = build_target(config.target)
-    pre = None if pre_payload is None else Preconditioner.from_dict(pre_payload)
     rngs = [chain_rng(config.base_seed, i) for i in range(chain_lo, chain_hi)]
     lattice = target.lattice
     init = np.stack([g.integers(0, lattice.n_values, size=lattice.dim) for g in rngs])
@@ -284,23 +288,15 @@ def _run_chain_block(config_raw: dict, pre_payload, chain_lo: int, chain_hi: int
 
 
 def _run_all_chains(config: ExperimentConfig, pre):
-    pre_payload = None if pre is None else pre.to_dict()
-    blocks = []
     if config.workers == 1 or config.chains == 1:
-        blocks.append(_run_chain_block(config.raw, pre_payload, 0, config.chains))
+        blocks = [_run_chain_block(config, pre, 0, config.chains)]
     else:
         bounds = np.linspace(0, config.chains, config.workers + 1).astype(int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [
-                pool.submit(_run_chain_block, config.raw, pre_payload, lo, hi)
-                for lo, hi in spans
-            ]
+            futures = [pool.submit(_run_chain_block, config, pre, lo, hi) for lo, hi in spans]
             blocks = [f.result() for f in futures]
-    indices = np.concatenate([b[0] for b in blocks], axis=0)
-    energies = np.concatenate([b[1] for b in blocks], axis=0)
-    accepted = np.concatenate([b[2] for b in blocks], axis=0)
-    return indices, energies, accepted
+    return tuple(np.concatenate(parts, axis=0) for parts in zip(*blocks))
 
 
 def _write_chain_csvs(out_dir: Path, config: ExperimentConfig, values, indices, energies, accepted):
@@ -350,46 +346,19 @@ def _scalar_metric_rows(config: ExperimentConfig, values, kept_idx, kept_energy,
     return rows
 
 
-def _write_scalar_metrics(path: Path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "detail", "n_draws", "value"])
-        for metric, detail, n_draws, value in rows:
-            text = "undefined" if value is None else repr(float(value))
-            writer.writerow([metric, detail, n_draws, text])
-
-
-def _tv_rows(config: ExperimentConfig, target: TargetModel, kept_idx):
+def _tv_rows(config: ExperimentConfig, joint, kept_idx):
     """TV rows per tuple and checkpoint: chain mean and sd, plus the averaged
     row over tuples of equal arity (chains first, tuples second)."""
-    if not config.tv_coords:
-        return []
-    try:
-        joint = enumerate_joint(target)
-    except EnumerationBudgetError as exc:
-        warnings.warn(f"TV metrics omitted: {exc}", stacklevel=2)
-        return []
-    lattice = target.lattice
-    K = lattice.n_values
-    m = kept_idx.shape[0]
+    K = joint.shape[0]
     rows = []
     by_arity = {}
-    d = lattice.dim
     for coords in config.tv_coords:
-        other = tuple(ax for ax in range(d) if ax not in coords)
-        exact = joint.sum(axis=other) if other else joint
-        order = [sorted(coords).index(c) for c in coords]
-        exact = np.transpose(exact, order)
-        flat = np.ravel_multi_index(
-            tuple(kept_idx[:, :, c] for c in coords), (K,) * len(coords)
-        )
+        exact = marginal(joint, coords)
         per_checkpoint = []
         for n in config.checkpoints:
-            tvs = np.empty(m)
-            for c in range(m):
-                counts = np.bincount(flat[c, :n], minlength=K ** len(coords)).astype(float)
-                emp = (counts / counts.sum()).reshape((K,) * len(coords))
-                tvs[c] = tv_distance(emp, exact)
+            tvs = np.array([
+                tv_distance(index_pmf(chain[:n][:, coords], K), exact) for chain in kept_idx
+            ])
             per_checkpoint.append((n, float(tvs.mean()), float(tvs.std(ddof=0))))
         label = "-".join(map(str, coords))
         for n, mean, sd in per_checkpoint:
@@ -403,6 +372,53 @@ def _tv_rows(config: ExperimentConfig, target: TargetModel, kept_idx):
     return rows
 
 
+def _write_metric_csv(path: Path, header, rows):
+    """Write rows of three leading fields and trailing float values, a None
+    value written as ``undefined``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            values = ["undefined" if v is None else repr(float(v)) for v in row[3:]]
+            writer.writerow([*row[:3], *values])
+
+
+def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
+                   indices, energies, accepted, moments: bool = False):
+    """Write ``metrics.csv``, ``tv.csv`` and, with ``moments``, ``moments.csv``
+    from whole-run (chains, steps, ...) arrays of lattice indices, energies and
+    accept flags.  The exact joint is enumerated at most once, for TV and
+    moments together."""
+    values = target.lattice.values
+    kept = slice(config.burn_in, config.burn_in + config.length)
+    kept_idx = indices[:, kept]
+    _write_metric_csv(
+        out_dir / "metrics.csv", METRICS_HEADER,
+        _scalar_metric_rows(config, values, kept_idx, energies[:, kept], accepted[:, kept]),
+    )
+    moments = moments and config.chains >= 2
+    joint = None
+    if config.tv_coords or moments:
+        try:
+            joint = enumerate_joint(target)
+        except EnumerationBudgetError as exc:
+            if config.tv_coords:
+                warnings.warn(f"TV metrics omitted: {exc}", stacklevel=2)
+    if config.tv_coords and joint is not None:
+        _write_metric_csv(out_dir / "tv.csv", TV_HEADER, _tv_rows(config, joint, kept_idx))
+    if moments:
+        exact = None
+        if joint is not None:
+            exact = dict(zip(("mean", "second", "cross"), exact_moments(joint, values)))
+        rows = []
+        for family, entry in moment_report(values[kept_idx], exact).items():
+            if entry["bias2"] is not None:
+                rows.append(("moment_bias2", family, config.length, entry["bias2"]))
+            if entry["variance"] is not None:
+                rows.append(("moment_variance", family, config.length, entry["variance"]))
+        _write_metric_csv(out_dir / "moments.csv", METRICS_HEADER, rows)
+
+
 def run_experiment(config: ExperimentConfig) -> Path:
     """Calibrate, run all chains, and write chain CSVs, metric CSVs, and the
     reproducibility manifest into the output directory."""
@@ -414,19 +430,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     indices, energies, accepted = _run_all_chains(config, pre)
     values = target.lattice.values
-    kept = slice(config.burn_in, config.burn_in + config.length)
-    kept_idx = indices[:, kept].astype(np.int64)
-    kept_energy = energies[:, kept]
-    kept_accept = accepted[:, kept]
-
     _write_chain_csvs(out_dir, config, values, indices, energies, accepted)
-    _write_scalar_metrics(
-        out_dir / "metrics.csv",
-        _scalar_metric_rows(config, values, kept_idx, kept_energy, kept_accept),
-    )
-    tv_rows = _tv_rows(config, target, kept_idx)
-    if tv_rows:
-        write_metric_rows(out_dir / "tv.csv", tv_rows)
+    _write_metrics(out_dir, config, target, indices, energies, accepted)
 
     manifest = {
         "version": __version__,
@@ -457,16 +462,37 @@ def read_chain_csv(path):
         header = next(reader)
         d = len(header) - 4
         draws, energies, accepted = [], [], []
-        for row in reader:
-            draws.append([float(x) for x in row[2 : 2 + d]])
-            energies.append(float(row[2 + d]))
-            accepted.append(bool(int(row[3 + d])))
-    return np.asarray(draws), np.asarray(energies), np.asarray(accepted)
+        for line, row in enumerate(reader, start=2):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                draws.append([float(x) for x in row[2 : 2 + d]])
+                energies.append(float(row[2 + d]))
+                accepted.append(bool(int(row[3 + d])))
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {line}: {exc}") from exc
+    return np.asarray(draws).reshape(-1, d), np.asarray(energies), np.asarray(accepted)
+
+
+def _read_chain_indices(path, lattice, rows=None):
+    """Read a chain CSV as (lattice indices, energies, accepted), checking the
+    state width, the row count when ``rows`` is given, and the lattice."""
+    draws, energies, accepted = read_chain_csv(path)
+    if draws.shape[1] != lattice.dim:
+        raise ConfigError(
+            f"{path}: states have width {draws.shape[1]}, the target has d = {lattice.dim}"
+        )
+    if rows is not None and len(draws) != rows:
+        raise ConfigError(f"{path}: {len(draws)} rows, the config's burn_in + length is {rows}")
+    try:
+        return lattice.index_of(draws), energies, accepted
+    except ValueError as exc:
+        raise ConfigError(f"{path}: a state value is off the lattice") from exc
 
 
 def recompute_metrics(run_dir, out_dir=None) -> Path:
-    """Recompute the metric CSVs (plus a moment summary when the target is
-    enumerable) from a finished run directory."""
+    """Recompute the metric CSVs (plus a moment summary) from a finished run
+    directory."""
     run_dir = Path(run_dir)
     out_dir = run_dir if out_dir is None else Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -480,51 +506,10 @@ def recompute_metrics(run_dir, out_dir=None) -> Path:
         raise ConfigError(
             f"run directory holds {len(chain_paths)} chains, config expects {config.chains}"
         )
-    lattice = target.lattice
-    kept = slice(config.burn_in, config.burn_in + config.length)
-    records = []
-    for c, path in enumerate(chain_paths):
-        draws, energies, accepted = read_chain_csv(path)
-        records.append(
-            ChainRecord(
-                draws=draws[kept],
-                energies=energies[kept],
-                accept_count=int(accepted[kept].sum()),
-                seed=(config.base_seed, c),
-                kernel_id=config.kernel,
-                config=manifest["config"],
-            )
-        )
-        if c == 0:
-            kept_accept = np.empty((len(chain_paths), config.length), dtype=bool)
-        kept_accept[c] = accepted[kept]
-    kept_idx = np.stack([
-        np.stack([lattice.index_of(r.draws[:, i]) for i in range(lattice.dim)], axis=1)
-        for r in records
-    ])
-    kept_energy = np.stack([r.energies for r in records])
-    _write_scalar_metrics(
-        out_dir / "metrics.csv",
-        _scalar_metric_rows(config, lattice.values, kept_idx, kept_energy, kept_accept),
-    )
-    tv_rows = _tv_rows(config, target, kept_idx)
-    if tv_rows:
-        write_metric_rows(out_dir / "tv.csv", tv_rows)
-    if config.chains >= 2:
-        try:
-            joint = enumerate_joint(target)
-            mean, second, cross = exact_moments(joint, lattice.values)
-            exact = {"mean": mean, "second": second, "cross": cross}
-        except EnumerationBudgetError:
-            exact = None
-        report = moment_report(records, exact)
-        rows = []
-        for family, entry in report.items():
-            if entry["bias2"] is not None:
-                rows.append(("moment_bias2", family, config.length, entry["bias2"]))
-            if entry["variance"] is not None:
-                rows.append(("moment_variance", family, config.length, entry["variance"]))
-        _write_scalar_metrics(out_dir / "moments.csv", rows)
+    rows = config.burn_in + config.length
+    chains = [_read_chain_indices(path, target.lattice, rows) for path in chain_paths]
+    indices, energies, accepted = (np.stack(parts) for parts in zip(*chains))
+    _write_metrics(out_dir, config, target, indices, energies, accepted, moments=True)
     return out_dir
 
 
@@ -580,8 +565,8 @@ def calibrate_command(config: ExperimentConfig, chains_csv=None, out_dir=None) -
     run or from a stored chain CSV."""
     target = build_target(config.target)
     if chains_csv is not None:
-        draws, _, _ = read_chain_csv(chains_csv)
-        sample = CalibrationSample.from_states(target, draws)
+        indices, _, _ = _read_chain_indices(chains_csv, target.lattice)
+        sample = CalibrationSample.from_states(target, target.lattice.values[indices])
         pre = _preconditioner_by_delta(config, target, sample)(config.sampler.delta)
         info = {"method": config.calibration["method"], "source": str(chains_csv)}
     else:

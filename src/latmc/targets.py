@@ -304,11 +304,13 @@ def enumerate_joint(target: TargetModel, coords=None, budget: int = ENUMERATION_
         pts = lattice.values[np.stack(idx, axis=1)]
         energies[start:stop] = target.f_batch(pts)
 
-    weights = np.exp(energies - energies.max()).reshape(shape)
-    other = tuple(ax for ax in range(d) if ax not in coords)
-    table = weights.sum(axis=other) if other else weights
+    table = marginal(np.exp(energies - energies.max()).reshape(shape), coords)
+    return table / table.sum()
+
+
+def marginal(table: np.ndarray, coords) -> np.ndarray:
+    """Sum a joint table onto the axes ``coords``, kept in the given order."""
+    other = tuple(ax for ax in range(table.ndim) if ax not in coords)
+    out = table.sum(axis=other) if other else table
     # remaining axes are sorted(coords); permute into the requested order
-    order = [sorted(coords).index(c) for c in coords]
-    table = np.transpose(table, order)
-    table = table / table.sum()
-    return table
+    return np.transpose(out, [sorted(coords).index(c) for c in coords])

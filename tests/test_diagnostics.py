@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from latmc.diagnostics import (
-    ChainRecord,
     acf,
     empirical_pmf,
     ess_multichain,
     exact_moments,
+    index_pmf,
     moment_report,
     tv_distance,
 )
@@ -38,19 +38,25 @@ class TestTVDistance:
 
 
 class TestEmpiricalPmf:
+    @staticmethod
+    def _tables(draws, lat, coords):
+        """The table from lattice values and from lattice indices."""
+        yield empirical_pmf(draws, lat, coords)
+        yield index_pmf(lat.index_of(draws)[:, list(coords)], lat.n_values)
+
     def test_counts(self):
         lat = integer_lattice(2, 1)
         draws = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [0.0, -1.0]])
-        table = empirical_pmf(draws, lat, (0, 1))
-        assert table[0, 1] == 0.5
-        assert table[2, 2] == 0.25
-        assert table.sum() == pytest.approx(1.0)
+        for table in self._tables(draws, lat, (0, 1)):
+            assert table[0, 1] == 0.5
+            assert table[2, 2] == 0.25
+            assert table.sum() == pytest.approx(1.0)
 
     def test_coordinate_selection(self):
         lat = integer_lattice(3, 1)
         draws = np.array([[-1.0, 0.0, 1.0]] * 4)
-        marg = empirical_pmf(draws, lat, (2,))
-        assert np.array_equal(marg, [0.0, 0.0, 1.0])
+        for marg in self._tables(draws, lat, (2,)):
+            assert np.array_equal(marg, [0.0, 0.0, 1.0])
 
 
 class TestESS:
@@ -140,13 +146,3 @@ class TestMomentReport:
         assert report["mean"]["bias2"] is None
         assert report["mean"]["variance"] > 0
 
-    def test_chain_record_validation(self):
-        with pytest.raises(ValueError):
-            ChainRecord(np.zeros((5, 2)), np.zeros(4), 0, 0, "pavg")
-
-    def test_record_energy_consistency(self):
-        t = self._uniform_target()
-        draws = np.array([[0.0, 1.0], [1.0, -1.0]])
-        rec = ChainRecord(draws, t.f_batch(draws), 2, 0, "pavg")
-        for i in range(2):
-            assert abs(rec.energies[i] - t.f(rec.draws[i])) < 1e-10

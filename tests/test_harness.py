@@ -81,6 +81,26 @@ class TestConfig:
             run_experiment(cfg)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("override, named", [
+        ({"checkpoints": ["abc"]}, "abc"),
+        ({"workers": "two"}, "two"),
+        ({"cond_threshold": "x"}, "x"),
+        ({"tv_coords": [["a", 1]]}, "a"),
+        ({"tune": 5}, "config value"),
+        ({"tune": {"delta_grid": [0.1], "probe_lenght": 50}}, "probe_lenght"),
+        ({"target": {"name": "clock_potts", "side": 3, "q": 4, "couplng": 0.5}}, "couplng"),
+        ({"target": {"name": "discrete_gaussian", "d": 2, "k": 2, "sigma": 2.0, "rho": 0.5,
+                     "sigmma": 1.0}}, "sigmma"),
+    ], ids=["checkpoints", "workers", "cond_threshold", "tv_coords", "tune", "tune_key",
+            "clock_key", "gaussian_key"])
+    def test_bad_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
+        payload = dict(base_config(tmp_path).raw, **override)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        assert cli_main(["run", "-c", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_example_configs_parse(self):
         for path in Path("configs").glob("*.yaml"):
             cfg = ExperimentConfig.from_yaml(path)
@@ -194,6 +214,57 @@ class TestRunExperiment:
         assert (redo / "tv.csv").read_bytes() == tv
         moments = (redo / "moments.csv").read_text().splitlines()
         assert any(row.startswith("moment_bias2,mean") for row in moments)
+
+    def test_metrics_enumerate_the_joint_once(self, tmp_path, monkeypatch):
+        out = run_experiment(base_config(tmp_path))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_joint(*args, **kwargs)
+
+        enumerate_joint = harness.enumerate_joint
+        monkeypatch.setattr(harness, "enumerate_joint", counted)
+        recompute_metrics(out, tmp_path / "redo")
+        assert len(calls) == 1
+        assert (tmp_path / "redo" / "tv.csv").exists()
+        assert (tmp_path / "redo" / "moments.csv").read_text().count("moment_bias2") == 3
+
+
+class TestMalformedRunDirectory:
+    @pytest.mark.parametrize("keep", [
+        lambda text: "\n".join(text.splitlines()[:100]) + "\n",
+        lambda text: text[: len(text) - 7],
+    ], ids=["rows_missing", "cut_inside_row"])
+    def test_truncated_chain_csv(self, tmp_path, capsys, keep):
+        out = run_experiment(base_config(tmp_path))
+        path = out / "chains" / "chain_0001.csv"
+        path.write_text(keep(path.read_text()))
+        with pytest.raises(ConfigError, match="chain_0001.csv"):
+            recompute_metrics(out, tmp_path / "redo")
+        assert cli_main(["metrics", str(out), "-o", str(tmp_path / "redo")]) == 2
+
+    def test_state_value_off_the_lattice(self, tmp_path):
+        out = run_experiment(base_config(tmp_path))
+        path = out / "chains" / "chain_0002.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[2] = "0.5"
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"chain_0002.csv.*off the lattice"):
+            recompute_metrics(out, tmp_path / "redo")
+
+    def test_calibrate_from_chain_csv_of_another_dimension(self, tmp_path):
+        out = run_experiment(base_config(tmp_path))
+        cfg = base_config(
+            tmp_path,
+            target={"name": "discrete_gaussian", "d": 3, "k": 2, "sigma": 2.0, "rho": 0.5},
+            calibration={"method": "gradient_diff"},
+            output_dir=str(tmp_path / "cal"),
+        )
+        with pytest.raises(ConfigError, match=r"chain_0000.csv: states have width 2.*d = 3"):
+            calibrate_command(cfg, chains_csv=out / "chains" / "chain_0000.csv")
 
 
 class TestCommands:
