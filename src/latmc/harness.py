@@ -7,7 +7,7 @@ import csv
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +68,16 @@ TUNING_STREAM = (1 << 20) + 1
 CHAIN_CSV_PREFIX = "chain_"
 
 
+def _config_int(value, key: str, minimum: int | None = None) -> int:
+    """An integer or integral-float config value of at least ``minimum``, else a ConfigError naming ``key``."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def chain_rng(base_seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for one stream: splittable and platform-stable."""
     seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(stream,))
@@ -87,7 +97,7 @@ def build_target(params: dict) -> TargetModel:
     try:
         if name == "discrete_gaussian":
             return discrete_gaussian(
-                d=int(params["d"]), k=int(params["k"]),
+                d=_config_int(params["d"], "d"), k=_config_int(params["k"], "k"),
                 sigma=float(params["sigma"]), rho=float(params["rho"]),
             )
         if name == "quadratic_mixture":
@@ -97,17 +107,17 @@ def build_target(params: dict) -> TargetModel:
             if "variances" in params:
                 kwargs["variances"] = np.asarray(params["variances"], dtype=float)
             return quadratic_mixture(
-                d=int(params.get("d", 10)), k=int(params.get("k", 10)),
-                M=int(params.get("M", 9)), **kwargs,
+                d=_config_int(params.get("d", 10), "d"), k=_config_int(params.get("k", 10), "k"),
+                M=_config_int(params.get("M", 9), "M"), **kwargs,
             )
         if name == "clock_potts":
             return clock_potts(
-                side=int(params["side"]), q=int(params["q"]),
+                side=_config_int(params["side"], "side"), q=_config_int(params["q"], "q"),
                 coupling=float(params.get("coupling", 1.0)),
             )
         w_true = np.asarray(params["w_true"], dtype=float)
         b = np.asarray(params.get("b", np.zeros(w_true.shape[0])), dtype=float)
-        lattice = integer_lattice(w_true.shape[0], int(params["k"]))
+        lattice = integer_lattice(w_true.shape[0], _config_int(params["k"], "k"))
         return QuadraticTarget(lattice, w_true, b)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad target config for {name!r}: {exc}") from exc
@@ -140,15 +150,15 @@ class ExperimentConfig:
         try:
             target = dict(payload["target"])
             kernel = str(payload["kernel"])
-            chains = int(payload["chains"])
-            length = int(payload["length"])
-            burn_in = int(payload.get("burn_in", 0))
-            base_seed = int(payload["base_seed"])
+            chains = _config_int(payload["chains"], "chains", 1)
+            length = _config_int(payload["length"], "length", 1)
+            burn_in = _config_int(payload.get("burn_in", 0), "burn_in", 0)
+            base_seed = _config_int(payload["base_seed"], "base_seed", 0)
             output_dir = str(payload["output_dir"])
             calibration = dict(payload.get("calibration", {"method": "none"}))
-            checkpoints = [int(c) for c in payload.get("checkpoints", [length])]
-            tv_coords = [tuple(int(i) for i in pair) for pair in payload.get("tv_coords", [])]
-            workers = int(payload.get("workers", 1))
+            checkpoints = [_config_int(c, "checkpoints", 1) for c in payload.get("checkpoints", [length])]
+            tv_coords = [tuple(_config_int(i, "tv_coords", 0) for i in p) for p in payload.get("tv_coords", [])]
+            workers = _config_int(payload.get("workers", 1), "workers", 1)
             cond_threshold = float(payload.get("cond_threshold", 100.0))
             tune = dict(payload.get("tune", {}))
         except KeyError as exc:
@@ -157,29 +167,24 @@ class ExperimentConfig:
             raise ConfigError(f"bad config value: {exc}") from exc
         if kernel not in KERNELS:
             raise ConfigError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-        if chains < 1:
-            raise ConfigError("chains must be >= 1")
-        if length < 1:
-            raise ConfigError("length must be >= 1")
-        if burn_in < 0:
-            raise ConfigError("burn_in must be >= 0")
         try:
-            sampler = SamplerConfig(**payload.get("sampler", {}))
+            block = dict(payload.get("sampler", {}))
+            sampler = SamplerConfig(**dict(block, r=_config_int(block.get("r", SamplerConfig.r), "sampler.r", 1)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sampler block: {exc}") from exc
         _reject_unknown_keys(calibration, CALIBRATION_KEYS, "calibration")
+        for key in sorted(calibration.keys() & {"burn_in_steps", "burn_in_r"}):
+            calibration[key] = _config_int(calibration[key], f"calibration.{key}", 1)
         method = calibration.setdefault("method", "none")
         if method not in CALIBRATION_METHODS:
             raise ConfigError(
                 f"unknown calibration method {method!r}; choose from {CALIBRATION_METHODS}"
             )
-        if any(c < 1 or c > length for c in checkpoints):
+        if any(c > length for c in checkpoints):
             raise ConfigError("checkpoints must lie in [1, length]")
         for coords in tv_coords:
-            if not coords or min(coords) < 0 or len(set(coords)) < len(coords):
+            if not coords or len(set(coords)) < len(coords):
                 raise ConfigError(f"tv_coords entry {list(coords)} needs distinct nonnegative axes")
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
         _reject_unknown_keys(tune, TUNE_KEYS, "tune")
         raw = dict(payload)
         raw["calibration"] = calibration
@@ -219,17 +224,15 @@ def _check_tv_coords(config: ExperimentConfig, target: TargetModel):
 
 def _collect_calibration_sample(config: ExperimentConfig, target: TargetModel) -> CalibrationSample:
     calib = config.calibration
-    steps = int(calib.get("burn_in_steps", 500))
+    steps = calib.get("burn_in_steps", 500)
     kernel = calib.get("burn_in_kernel", "metropolis")
     rng = chain_rng(config.base_seed, CALIBRATION_STREAM)
     lattice = target.lattice
     init = rng.integers(0, lattice.n_values, size=(1, lattice.dim))
-    burn_cfg = SamplerConfig(
-        epsilon=config.sampler.epsilon,
+    burn_cfg = replace(
+        config.sampler,
         delta=float(calib.get("burn_in_delta", config.sampler.delta)),
-        phi=config.sampler.phi,
-        beta=config.sampler.beta,
-        r=int(calib.get("burn_in_r", max(config.sampler.r, 2))),
+        r=calib.get("burn_in_r", max(config.sampler.r, 2)),
     )
     pre = None
     if kernel != "metropolis":
@@ -271,7 +274,7 @@ def build_preconditioner(config: ExperimentConfig, target: TargetModel):
     if method == "none":
         info["label"] = "first-order specialization (W = 0)"
     elif method != "exact_quadratic":
-        info["burn_in_steps"] = int(config.calibration.get("burn_in_steps", 500))
+        info["burn_in_steps"] = config.calibration.get("burn_in_steps", 500)
         info["burn_in_kernel"] = config.calibration.get("burn_in_kernel", "metropolis")
     return pre, info
 
@@ -521,40 +524,26 @@ def tune_command(config: ExperimentConfig, out_dir=None) -> Path:
     tune = config.tune
     if not tune.get("delta_grid"):
         raise ConfigError("tune.delta_grid must list candidate stepsizes")
+    probe_length = _config_int(tune.get("probe_length", 500), "tune.probe_length", 1)
+    chains = _config_int(tune.get("probe_chains", 4), "tune.probe_chains", 1)
+    burn_in = _config_int(tune.get("probe_burn_in", probe_length // 10), "tune.probe_burn_in", 0)
+    try:
+        grids = {"delta": [float(x) for x in tune["delta_grid"]],
+                 "phi": [float(x) for x in tune.get("phi_grid", [0.0])]}
+        epsilon = float(tune.get("epsilon", config.sampler.epsilon))
+        beta = float(tune.get("beta", config.sampler.beta))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad tune value: {exc}") from exc
     target = build_target(config.target)
-    rng = chain_rng(config.base_seed, TUNING_STREAM)
-    probe_length = int(tune.get("probe_length", 500))
     chosen, trace = staged_grid_search(
-        config.kernel,
-        target,
-        _preconditioner_by_delta(config, target),
-        {"delta": tune["delta_grid"], "phi": tune.get("phi_grid", [0.0])},
-        chains=int(tune.get("probe_chains", 4)),
-        length=probe_length,
-        rng=rng,
-        epsilon=float(tune.get("epsilon", config.sampler.epsilon)),
-        beta=float(tune.get("beta", config.sampler.beta)),
-        r=config.sampler.r,
-        burn_in=int(tune.get("probe_burn_in", probe_length // 10)),
+        config.kernel, target, _preconditioner_by_delta(config, target), grids,
+        chains=chains, length=probe_length, rng=chain_rng(config.base_seed, TUNING_STREAM),
+        epsilon=epsilon, beta=beta, r=config.sampler.r, burn_in=burn_in,
     )
     out_dir = Path(config.output_dir if out_dir is None else out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "tuned_config.json", "w") as fh:
-        json.dump(
-            {
-                "kernel": config.kernel,
-                "sampler": {
-                    "epsilon": chosen.epsilon,
-                    "delta": chosen.delta,
-                    "phi": chosen.phi,
-                    "beta": chosen.beta,
-                    "r": chosen.r,
-                },
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump({"kernel": config.kernel, "sampler": asdict(chosen)}, fh, indent=2, sort_keys=True)
     with open(out_dir / "tune_trace.json", "w") as fh:
         json.dump(trace.to_dict(), fh, indent=2, sort_keys=True)
     return out_dir

@@ -30,12 +30,25 @@ class Preconditioner:
     L: np.ndarray
     L_inv_T: np.ndarray
     factorization_kind: str
-    W_shifted: np.ndarray = field(repr=False, default=None)
+    W_shifted: np.ndarray = field(repr=False)
     logdet: float = 0.0
+
+    def __post_init__(self):
+        factors = {"W": self.W, "W_shifted": self.W_shifted, "L": self.L, "L_inv": self.L_inv_T.T}
+        for name, matrix in factors.items():
+            diag = np.diag(matrix).copy()
+            factors[name] = matrix, diag if np.count_nonzero(matrix) == np.count_nonzero(diag) else None
+        object.__setattr__(self, "_factors", factors)
 
     @property
     def dim(self) -> int:
         return self.W.shape[0]
+
+    def times(self, x, name: str) -> np.ndarray:
+        """``x @ M`` for M named ``"W"``, ``"W_shifted"``, ``"L"`` or ``"L_inv"`` (``L_inv_T.T``);
+        a diagonal M, noted at construction, multiplies elementwise to the same values."""
+        matrix, diag = self._factors[name]
+        return x @ matrix if diag is None else x * diag
 
     def to_dict(self) -> dict:
         return {

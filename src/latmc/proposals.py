@@ -5,8 +5,10 @@ exponentiated.  Row log-probabilities are clamped at ``LOG_FLOOR`` so that
 transition log-probabilities stay finite even for underflowed values.
 
 The row functions are batched over any leading axes (chains, coordinates).
-The scalar conditional law :func:`over_relax_conditional` is the reference
-the vectorized over-relaxation rows are checked against.
+Rows are indexed ``rows[..., i, k]``, value ``k`` last, but stored value-major:
+they view C-contiguous ``(K, ..., d)`` arrays, and row operations reduce whole
+value planes over axis 0, never a short trailing axis.  The scalar law
+:func:`over_relax_conditional` is the reference for the over-relaxation rows.
 """
 
 from __future__ import annotations
@@ -19,6 +21,35 @@ from .precondition import Preconditioner
 LOG_FLOOR = -745.0
 
 
+def _planes(rows):
+    """Value-major view ``(K, ..., d)`` of rows indexed ``(..., d, K)``."""
+    return rows.transpose((rows.ndim - 1, *range(rows.ndim - 1)))
+
+
+def _rows(planes):
+    """Rows indexed ``(..., d, K)`` viewing value-major planes ``(K, ..., d)``."""
+    return planes.transpose((*range(1, planes.ndim), 0))
+
+
+def _value_sums(planes):
+    """Sum over the value axis with the bits of numpy's pairwise sum over a contiguous axis:
+    planes added in turn below 8 values, else a transposed copy up to 128 rows, else the pairs."""
+    n = planes.shape[0]
+    if n < 8:
+        return planes.sum(axis=0)
+    if planes[0].size <= 128:
+        return np.ascontiguousarray(_rows(planes)).sum(axis=-1)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _value_sums(planes[:half]) + _value_sums(planes[half:])
+    body = n - n % 8
+    r = planes[:body].reshape(body // 8, -1).sum(axis=0).reshape(8, *planes.shape[1:])
+    total = r[0] + r[1] + (r[2] + r[3]) + (r[4] + r[5] + (r[6] + r[7]))
+    for plane in planes[body:]:
+        total += plane
+    return total
+
+
 def proposal_log_rows(grad, s_ref, z, pre: Preconditioner, values) -> np.ndarray:
     """Log-probability rows of the product proposal induced by a quadratic
     surrogate around ``s_ref``, clamped at ``LOG_FLOOR``:
@@ -28,27 +59,42 @@ def proposal_log_rows(grad, s_ref, z, pre: Preconditioner, values) -> np.ndarray
     Inputs are ``(d,)`` or ``(m, d)``; a non-finite coefficient raises
     :class:`NumericGuardError` naming the first offending chain.
     """
-    coeff = grad - s_ref @ pre.W
-    coeff = coeff + z @ pre.W_shifted
+    coeff = grad - pre.times(s_ref, "W") + pre.times(z, "W_shifted")
     finite = np.isfinite(coeff).reshape(-1, coeff.shape[-1]).all(axis=1)
     if not finite.all():
         raise NumericGuardError("proposal logits", int(np.argmin(finite)))
-    logits = -0.5 * pre.lam * values**2 + coeff[..., None] * values
-    peak = logits.max(axis=-1)
-    log_norms = np.log(np.exp(logits - peak[..., None]).sum(axis=-1)) + peak
-    return np.maximum(logits - log_norms[..., None], LOG_FLOOR)
+    column = (-1,) + (1,) * coeff.ndim
+    logits = (-0.5 * pre.lam * values**2).reshape(column) + coeff * values.reshape(column)
+    peak = logits.max(axis=0)
+    weights = logits - peak
+    np.exp(weights, out=weights)
+    logits -= np.log(_value_sums(weights)) + peak
+    return _rows(np.maximum(logits, LOG_FLOOR, out=logits))
 
 
 def cdf_rows(pmf_rows: np.ndarray) -> np.ndarray:
-    """Monotone CDF rows: the running sum clipped at 1, last entry pinned at 1."""
-    cdf = np.minimum(np.cumsum(pmf_rows, axis=-1), 1.0)
-    cdf[..., -1] = 1.0
-    return cdf
+    """Monotone CDF rows: running sums (of planes past 128 rows) clipped at 1, the last pinned at 1."""
+    pmf = _planes(pmf_rows)
+    if np.size(pmf[0]) <= 128:
+        cdf = np.cumsum(pmf, axis=0)
+    else:
+        cdf = pmf.copy()
+        for prev, cur in zip(cdf, cdf[1:]):
+            np.add(prev, cur, out=cur)
+    np.minimum(cdf, 1.0, out=cdf)
+    cdf[-1] = 1.0
+    return _rows(cdf)
+
+
+def stack_rows(rows_seq) -> np.ndarray:
+    """Rows stacked on a new leading axis, stored value-major."""
+    return _rows(np.stack([_planes(rows) for rows in rows_seq], axis=1))
 
 
 def sample_rows_inverse_cdf(pmf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row: first index whose CDF exceeds the uniform."""
-    return (cdf_rows(pmf_rows) > uniforms[..., None]).argmax(axis=-1)
+    """Inverse-CDF draw per row: first index whose CDF exceeds the uniform,
+    the count of entries at or below it (the last, pinned at 1, never is)."""
+    return (_planes(cdf_rows(pmf_rows))[:-1] <= uniforms).sum(axis=0)
 
 
 def _circular_overlap(u: float, width: float, lo: float, hi: float) -> float:
@@ -159,17 +205,18 @@ def over_relax_sample_rows(
 
 def over_relax_rows_from_cdf(cdf, x0_indices, beta, u0, u_tilde) -> np.ndarray:
     """Draw w0 uniformly on the CDF interval of x0 (from ``u0``), map
-    w1 = (-w0 + beta w~) mod 1 (w~ = ``u_tilde``) and return the landing index."""
+    w1 = (-w0 + beta w~) mod 1 (w~ = ``u_tilde``) and return the landing index;
+    a w1 that rounds to 1 is 0 mod 1 and lands on index 0."""
     lower, upper = _cdf_interval_rows(cdf, np.asarray(x0_indices))
     w0 = lower + (upper - lower) * u0
     w1 = (-w0 + beta * u_tilde) % 1.0
-    return (cdf > w1[..., None]).argmax(axis=-1)
+    return np.where(w1 < 1.0, (_planes(cdf)[:-1] <= w1).sum(axis=0), 0)
 
 
 def row_entries(rows, idx) -> np.ndarray:
     """Entry ``idx[..., j]`` of each row ``rows[..., j, :]``, gathered by
-    flat position (``idx`` has the rows' leading shape)."""
-    return rows.reshape(-1)[np.arange(idx.size).reshape(idx.shape) * rows.shape[-1] + idx]
+    flat position in the value-major layout (``idx`` has the rows' leading shape)."""
+    return _planes(rows).reshape(-1)[idx * idx.size + np.arange(idx.size).reshape(idx.shape)]
 
 
 def _cdf_interval_rows(cdf, idx):
@@ -212,10 +259,8 @@ def over_relax_log_prob_rows(cdf, x0_indices, x1_indices, beta: float) -> np.nda
     point-interval limit of overlap / p0: the share of arc starts in
     [lo, hi), an indicator at ``beta = 0``.
     """
-    x0 = np.asarray(x0_indices)
-    x1 = np.asarray(x1_indices)
-    a, b = _cdf_interval_rows(cdf, x0)
-    lo, hi = _cdf_interval_rows(cdf, x1)
+    a, b = _cdf_interval_rows(cdf, np.asarray(x0_indices))
+    lo, hi = _cdf_interval_rows(cdf, np.asarray(x1_indices))
     p0 = b - a
     point = p0 <= 0.0
     p0_safe = np.where(point, 1.0, p0)

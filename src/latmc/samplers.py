@@ -5,9 +5,10 @@ random-walk Metropolis baseline.
 Each kernel exists once, as a batched core over ``(m, d)`` arrays of m
 independent chains: ``propose`` maps one step's variates to proposed lattice
 indices, and ``log_ratio`` gives the acceptance log-ratio together with the
-proposal and joint log-densities behind it.  :func:`run_chains` loops the
-core over steps; the solo ``*_step`` functions and the
-``*_transition_terms`` are one-chain calls of the same core.
+proposal and joint log-densities behind it.  Rows ``(m, d, K)`` are stored value-major
+(:mod:`latmc.proposals`); diagonal preconditioner matrices multiply elementwise.
+:func:`run_chains` loops the core over steps; the solo ``*_step`` functions
+and the ``*_transition_terms`` are one-chain calls of the same core.
 
 Randomness consumption per step is fixed so that shared-seed comparisons are
 well defined.  Each chain draws from its own generator, and every step takes
@@ -53,6 +54,7 @@ from .proposals import (
     proposal_log_rows,
     row_entries,
     sample_rows_inverse_cdf,
+    stack_rows,
 )
 from .targets import TargetModel
 
@@ -111,10 +113,6 @@ class ChainRunResult:
     energies: np.ndarray
     accepted: np.ndarray
 
-    @property
-    def n_chains(self) -> int:
-        return self.indices.shape[0]
-
 
 def standard_normals(u) -> np.ndarray:
     """Standard normals by inversion, one per uniform double ``u = k 2^-53``:
@@ -132,7 +130,7 @@ def standard_normals(u) -> np.ndarray:
 def momentum_init(pre: Preconditioner, rng) -> np.ndarray:
     """Stationary momentum draw, distributed N(0, (W + lam I)^-1), from d
     uniform doubles."""
-    return standard_normals(rng.random(pre.dim)) @ pre.L_inv_T.T
+    return pre.times(standard_normals(rng.random(pre.dim)), "L_inv")
 
 
 def _require_quadratic_match(target: TargetModel, pre: Preconditioner):
@@ -222,13 +220,6 @@ class _Core:
         log_rows = proposal_log_rows(at.G, at.S, z, self.pre, self.vals)
         return cdf_rows(np.exp(log_rows)) if self.over_relaxed else log_rows
 
-    def _log_q(self, rows, idx_from, idx_to):
-        if self.over_relaxed:
-            lp = over_relax_log_prob_rows(rows, idx_from, idx_to, self.config.beta)
-        else:
-            lp = row_entries(rows, idx_to)
-        return lp.sum(axis=-1)
-
     def forward_rows(self, cur: _Points, aux):
         """Forward proposal rows given the auxiliary point ``z`` (momentum-free
         kernels) or the refreshed momentum ``v_half`` (momentum kernels)."""
@@ -243,11 +234,11 @@ class _Core:
             return lo + np.minimum((coord * width).astype(np.int64), width - 1), None, None
         eps = self.config.epsilon
         if not self.momentum:
-            aux = cur.S + normals @ self.pre.L_inv_T.T
+            aux = cur.S + self.pre.times(normals, "L_inv")
         elif eps == 1.0:
             aux = V
         else:
-            aux = eps * V + math.sqrt(1.0 - eps * eps) * (normals @ self.pre.L_inv_T.T)
+            aux = eps * V + math.sqrt(1.0 - eps * eps) * self.pre.times(normals, "L_inv")
         rows = self.forward_rows(cur, aux)
         if self.over_relaxed:
             beta = self.config.beta
@@ -265,20 +256,21 @@ class _Core:
             return _Ratio(new.F - cur.F - lq_f + lq_b, None, lq_f, lq_b, cur.F, new.F)
         pre = self.pre
         if self.momentum:
-            v_star = -aux + cur.S - new.S + self.config.phi * (new.G - cur.G + (cur.S - new.S) @ pre.W)
+            v_star = -aux + cur.S - new.S + self.config.phi * (new.G - cur.G + pre.times(cur.S - new.S, "W"))
             z_b = new.S + v_star
-            kin_new = 0.5 * ((v_star @ pre.L) ** 2).sum(axis=-1)
-            kin_old = 0.5 * ((aux @ pre.L) ** 2).sum(axis=-1)
+            kin_new = 0.5 * (pre.times(v_star, "L") ** 2).sum(axis=-1)
+            kin_old = 0.5 * (pre.times(aux, "L") ** 2).sum(axis=-1)
         else:
             v_star, z_b = None, aux
-            kin_new = 0.5 * (((aux - new.S) @ pre.L) ** 2).sum(axis=-1)
-            kin_old = 0.5 * (((aux - cur.S) @ pre.L) ** 2).sum(axis=-1)
-        # forward and backward proposal terms in one batch
-        lq_f, lq_b = self._log_q(
-            np.stack([rows_f, self._rows(new, z_b)]),
-            np.stack([cur.idx, new.idx]),
-            np.stack([new.idx, cur.idx]),
-        )
+            kin_new = 0.5 * (pre.times(aux - new.S, "L") ** 2).sum(axis=-1)
+            kin_old = 0.5 * (pre.times(aux - cur.S, "L") ** 2).sum(axis=-1)
+        if self.over_relaxed:  # forward and backward terms in one batch
+            rows = stack_rows([rows_f, self._rows(new, z_b)])
+            idx_from, idx_to = np.stack([cur.idx, new.idx]), np.stack([new.idx, cur.idx])
+            lq_f, lq_b = over_relax_log_prob_rows(rows, idx_from, idx_to, self.config.beta).sum(axis=-1)
+        else:
+            lq_f = row_entries(rows_f, new.idx).sum(axis=-1)
+            lq_b = row_entries(self._rows(new, z_b), cur.idx).sum(axis=-1)
         with np.errstate(invalid="ignore"):
             delta = new.F - cur.F - kin_new + kin_old + lq_b - lq_f
             return _Ratio(delta, v_star, lq_f, lq_b, cur.F - kin_old, new.F - kin_new)

@@ -234,22 +234,13 @@ class ClockPottsTarget(TargetModel):
         left = np.roll(sites, 1, axis=1).reshape(-1)
         up = np.roll(sites, 1, axis=0).reshape(-1)
         self._edge_ends = right, down
-        self._neighbors = np.stack([right, left, down, up], axis=1)
+        self._neighbors = right, left, down, up
 
     def f(self, s) -> float:
-        theta = np.asarray(s, dtype=float) * self.angle_scale
-        right, down = self._edge_ends
-        return self.coupling * float(
-            np.cos(theta - theta[right]).sum() + np.cos(theta - theta[down]).sum()
-        )
+        return float(self.f_batch(np.asarray(s, dtype=float)[None])[0])
 
     def grad_f(self, s) -> np.ndarray:
-        theta = np.asarray(s, dtype=float) * self.angle_scale
-        return (
-            -self.coupling
-            * self.angle_scale
-            * np.sin(theta[:, None] - theta[self._neighbors]).sum(axis=1)
-        )
+        return self.grad_batch(np.asarray(s, dtype=float)[None])[0]
 
     def f_batch(self, points) -> np.ndarray:
         theta = np.asarray(points, dtype=float) * self.angle_scale
@@ -261,11 +252,11 @@ class ClockPottsTarget(TargetModel):
 
     def grad_batch(self, points) -> np.ndarray:
         theta = np.asarray(points, dtype=float) * self.angle_scale
-        return (
-            -self.coupling
-            * self.angle_scale
-            * np.sin(theta[:, :, None] - theta[:, self._neighbors]).sum(axis=2)
-        )
+        # the four neighbor terms, added plane by plane in neighbor order
+        total = np.sin(theta - theta[:, self._neighbors[0]])
+        for neighbor in self._neighbors[1:]:
+            total += np.sin(theta - theta[:, neighbor])
+        return -self.coupling * self.angle_scale * total
 
 
 def clock_potts(side: int, q: int, coupling: float = 1.0) -> ClockPottsTarget:

@@ -101,6 +101,53 @@ class TestConfig:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("override, named", [
+        ({"checkpoints": [200.7, 400]}, "checkpoints must be an integer, got 200.7"),
+        ({"chains": 2.5}, "chains must be an integer, got 2.5"),
+        ({"length": "400"}, "length must be an integer, got '400'"),
+        ({"burn_in": 1.5}, "burn_in must be an integer"),
+        ({"workers": True}, "workers must be an integer, got True"),
+        ({"base_seed": 91.5}, "base_seed must be an integer"),
+        ({"tv_coords": [[0, 1.5]]}, "tv_coords must be an integer, got 1.5"),
+        ({"sampler": {"delta": 0.25, "r": 1.5}}, "sampler.r must be an integer"),
+        ({"calibration": {"method": "gradient_diff", "burn_in_steps": 300.5}},
+         "calibration.burn_in_steps must be an integer"),
+        ({"target": {"name": "discrete_gaussian", "d": 2.5, "k": 2, "sigma": 2.0, "rho": 0.5}},
+         "d must be an integer, got 2.5"),
+        ({"chains": 0}, "chains must be >= 1, got 0"),
+    ], ids=["checkpoints", "chains", "length", "burn_in", "workers", "base_seed", "tv_coords",
+            "sampler_r", "burn_in_steps", "target_d", "chains_range"])
+    def test_integer_fields_do_not_truncate(self, tmp_path, capsys, override, named):
+        payload = dict(base_config(tmp_path).raw, **override)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        assert cli_main(["run", "-c", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        cfg = base_config(tmp_path, chains=4.0, checkpoints=[200.0, 400.0], tv_coords=[[0.0, 1]])
+        assert cfg.chains == 4 and type(cfg.chains) is int
+        assert cfg.checkpoints == [200, 400] and all(type(c) is int for c in cfg.checkpoints)
+        assert cfg.tv_coords == [(0, 1)] and type(cfg.tv_coords[0][0]) is int
+
+    @pytest.mark.parametrize("override, named", [
+        ({"probe_chains": "x"}, "tune.probe_chains must be an integer, got 'x'"),
+        ({"probe_length": 2.5}, "tune.probe_length must be an integer, got 2.5"),
+        ({"probe_burn_in": -1}, "tune.probe_burn_in must be >= 0, got -1"),
+        ({"epsilon": "x"}, "bad tune value"),
+        ({"beta": [1.0]}, "bad tune value"),
+        ({"delta_grid": ["a"]}, "bad tune value"),
+    ], ids=["probe_chains", "probe_length", "probe_burn_in", "epsilon", "beta", "delta_grid"])
+    def test_bad_tune_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
+        tune = dict({"delta_grid": [0.25], "probe_chains": 2, "probe_length": 50}, **override)
+        payload = dict(base_config(tmp_path).raw, tune=tune)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        assert cli_main(["tune", "-c", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_example_configs_parse(self):
         for path in Path("configs").glob("*.yaml"):
             cfg = ExperimentConfig.from_yaml(path)

@@ -4,6 +4,7 @@ import pytest
 from latmc.errors import CalibrationError, RankDeficiencyError
 from latmc.precondition import (
     CalibrationSample,
+    Preconditioner,
     calibrate_w_energy_diff,
     calibrate_w_gradient_diff,
     exact_quadratic_preconditioner,
@@ -12,7 +13,7 @@ from latmc.precondition import (
     lambda_shift,
     scaling_check,
 )
-from latmc.targets import QuadraticTarget, integer_lattice, quadratic_mixture
+from latmc.targets import QuadraticTarget, discrete_gaussian, integer_lattice, quadratic_mixture
 
 from conftest import random_walk_states
 
@@ -200,3 +201,46 @@ class TestScaling:
         sample = walk_sample(t, 30, rng)
         with pytest.raises(ValueError):
             scaling_check(t, 0.0, sample)
+
+
+class TestDiagonalProducts:
+    # every product the kernels take, by name, with its dense matrix
+    DENSE = {
+        "W": lambda pre: pre.W,
+        "W_shifted": lambda pre: pre.W_shifted,
+        "L": lambda pre: pre.L,
+        "L_inv": lambda pre: pre.L_inv_T.T,
+    }
+
+    def check(self, pre, rng, diagonal):
+        x = rng.normal(size=(7, pre.dim)) * 5.0
+        for name, dense in self.DENSE.items():
+            assert (pre._factors[name][1] is not None) == (name in diagonal), name
+            assert np.array_equal(pre.times(x, name), x @ dense(pre)), name
+            assert np.array_equal(pre.times(x[0], name), x[0] @ dense(pre)), name
+
+    def test_first_order_products_are_elementwise(self, rng):
+        for d, delta in ((400, 15.5), (8, 0.058), (1, 2.0)):
+            self.check(first_order_preconditioner(d, delta), rng, set(self.DENSE))
+
+    def test_factorized_diagonal_w(self, rng):
+        w = np.diag(rng.uniform(-1.0, 1.0, size=6))
+        pre = factorize(w, lambda_shift(w, 0.3))
+        assert pre.factorization_kind == "cholesky"
+        self.check(pre, rng, set(self.DENSE))
+
+    def test_gauss_exact_takes_the_dense_product(self, rng):
+        pre = exact_quadratic_preconditioner(discrete_gaussian(8, 10, 3.0, 0.5), 0.058)
+        self.check(pre, rng, set())
+
+    def test_eigen_factor_of_a_diagonal_w_is_permuted(self, rng):
+        # descending eigenvalues permute the factor of a diagonal W off the diagonal
+        w = np.diag([1.0, 300.0, 2.0, 50.0])
+        pre = factorize(w, lambda_shift(w, 0.5))
+        assert pre.factorization_kind == "eigen"
+        assert np.count_nonzero(pre.L - np.diag(np.diag(pre.L))) > 0
+        self.check(pre, rng, {"W", "W_shifted"})
+
+    def test_round_trip_keeps_the_diagonal_products(self, rng):
+        pre = first_order_preconditioner(5, 0.7)
+        self.check(Preconditioner.from_dict(pre.to_dict()), rng, set(self.DENSE))

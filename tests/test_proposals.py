@@ -10,8 +10,10 @@ from latmc.proposals import (
     cdf_rows,
     over_relax_conditional,
     over_relax_log_prob_rows,
+    over_relax_rows_from_cdf,
     over_relax_sample_rows,
     proposal_log_rows,
+    row_entries,
     sample_rows_inverse_cdf,
 )
 from latmc.samplers import ChainState, SamplerConfig, pavg_step, vpdhams_transition_terms
@@ -237,3 +239,101 @@ class TestCdfRows:
         cdf = cdf_rows(pmf)
         assert np.all(np.diff(cdf, axis=-1) >= 0.0)
         assert cdf[0, -1] == 1.0 and cdf.max() == 1.0
+
+
+# Trailing-value-axis forms of the row functions, as they were written before
+# rows were stored value-major: the oracle the value-major code must match
+# bit for bit.
+def trailing_log_rows(grad, s_ref, z, pre, values):
+    coeff = grad - s_ref @ pre.W
+    coeff = coeff + z @ pre.W_shifted
+    logits = -0.5 * pre.lam * values**2 + coeff[..., None] * values
+    peak = logits.max(axis=-1)
+    log_norms = np.log(np.exp(logits - peak[..., None]).sum(axis=-1)) + peak
+    return np.maximum(logits - log_norms[..., None], LOG_FLOOR)
+
+
+def trailing_cdf(pmf_rows):
+    cdf = np.minimum(np.cumsum(pmf_rows, axis=-1), 1.0)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def trailing_inverse_cdf(pmf_rows, uniforms):
+    return (trailing_cdf(pmf_rows) > uniforms[..., None]).argmax(axis=-1)
+
+
+def trailing_entries(rows, idx):
+    return np.take_along_axis(rows, idx[..., None], axis=-1)[..., 0]
+
+
+def trailing_over_relax(cdf, x0, beta, u0, u_tilde):
+    lower = np.where(x0 > 0, trailing_entries(cdf, np.maximum(x0 - 1, 0)), 0.0)
+    w0 = lower + (trailing_entries(cdf, x0) - lower) * u0
+    w1 = (-w0 + beta * u_tilde) % 1.0
+    return (cdf > w1[..., None]).argmax(axis=-1)
+
+
+class TestValueMajorRows:
+    # (leading shape, K): the clock, gauss, desk and one-chain shapes, stacked
+    # forward/backward rows, and value counts around numpy's pairwise blocks,
+    # each with up to 128 rows and with more
+    SHAPES = [
+        ((50, 400), 7), ((100, 8), 21), ((2, 100, 8), 21), ((20, 4), 11), ((10, 9), 4),
+        ((8,), 21), ((1, 8), 21), ((3,), 1), ((5, 3), 8), ((5, 3), 9), ((4, 2), 17),
+        ((3, 2), 300), ((30, 5), 8), ((30, 5), 9), ((200,), 16), ((40, 5), 300),
+    ]
+
+    @staticmethod
+    def rows_case(rng, shape, K, lam, dense):
+        d = shape[-1]
+        if dense:
+            a = rng.normal(size=(d, d))
+            w = -0.1 * (a @ a.T)
+            pre = factorize(w, lambda_shift(w, lam))
+        else:
+            pre = first_order_preconditioner(d, lam)
+        values = np.arange(K, dtype=float) - K // 2
+        grad = rng.normal(size=shape) * 3.0
+        s_ref = rng.choice(values, size=shape)
+        z = s_ref + rng.normal(size=shape)
+        return (grad, s_ref, z, pre, values)
+
+    @pytest.mark.parametrize("shape, K", SHAPES)
+    @pytest.mark.parametrize("lam, dense", [(0.7, False), (0.7, True), (1e4, False)])
+    def test_row_functions_match_trailing_oracle(self, rng, shape, K, lam, dense):
+        args = self.rows_case(rng, shape, K, lam, dense)
+        rows = proposal_log_rows(*args)
+        assert np.array_equal(rows, trailing_log_rows(*args))
+        assert np.moveaxis(rows, -1, 0).flags["C_CONTIGUOUS"]
+        if lam > 1.0 and K > 1:
+            assert (rows == LOG_FLOOR).any()  # tails underflow to the floor
+        pmf = np.exp(rows)
+        cdf = cdf_rows(pmf)
+        assert np.array_equal(cdf, trailing_cdf(pmf))
+        assert np.moveaxis(cdf, -1, 0).flags["C_CONTIGUOUS"]
+        u = rng.random(shape)
+        assert np.array_equal(sample_rows_inverse_cdf(pmf, u), trailing_inverse_cdf(pmf, u))
+        idx = rng.integers(0, K, size=shape)
+        assert np.array_equal(row_entries(rows, idx), trailing_entries(rows, idx))
+        u0, u_tilde = rng.random(shape), rng.random(shape)
+        for beta in (1.0, 0.3, -0.8):
+            assert np.array_equal(
+                over_relax_rows_from_cdf(cdf, idx, beta, u0, u_tilde),
+                trailing_over_relax(cdf, idx, beta, u0, u_tilde),
+            )
+
+    def test_trailing_layout_inputs_give_the_same_values(self, rng):
+        pmf = rng.dirichlet(np.ones(9), size=(6, 5))  # C-contiguous, value axis last
+        u = rng.random((6, 5))
+        assert np.array_equal(cdf_rows(pmf), trailing_cdf(pmf))
+        assert np.array_equal(sample_rows_inverse_cdf(pmf, u), trailing_inverse_cdf(pmf, u))
+
+    def test_landing_point_that_rounds_to_one_lands_on_zero(self):
+        # w0 = 0 and beta * w~ a tiny negative number: (-w0 + beta w~) mod 1 == 1.0
+        cdf = cdf_rows(np.array([[0.0, 0.25, 0.75], [0.5, 0.5, 0.0]]))
+        x0, u0, u_tilde = np.array([0, 0]), np.zeros(2), np.full(2, 1e-300)
+        assert np.all((-0.0 + -1.0 * u_tilde) % 1.0 == 1.0)
+        got = over_relax_rows_from_cdf(cdf, x0, -1.0, u0, u_tilde)
+        assert np.array_equal(got, trailing_over_relax(cdf, x0, -1.0, u0, u_tilde))
+        assert np.array_equal(got, [0, 0])
