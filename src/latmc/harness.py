@@ -532,6 +532,9 @@ def tune_command(config: ExperimentConfig, out_dir=None) -> Path:
                  "phi": [float(x) for x in tune.get("phi_grid", [0.0])]}
         epsilon = float(tune.get("epsilon", config.sampler.epsilon))
         beta = float(tune.get("beta", config.sampler.beta))
+        for delta in grids["delta"]:
+            for phi in grids["phi"]:
+                SamplerConfig(epsilon=epsilon, delta=delta, phi=phi, beta=beta)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad tune value: {exc}") from exc
     target = build_target(config.target)

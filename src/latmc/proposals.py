@@ -7,8 +7,9 @@ transition log-probabilities stay finite even for underflowed values.
 The row functions are batched over any leading axes (chains, coordinates).
 Rows are indexed ``rows[..., i, k]``, value ``k`` last, but stored value-major:
 they view C-contiguous ``(K, ..., d)`` arrays, and row operations reduce whole
-value planes over axis 0, never a short trailing axis.  The scalar law
-:func:`over_relax_conditional` is the reference for the over-relaxation rows.
+value planes over axis 0, never a short trailing axis.  The over-relaxation
+law is computed once, in closed form: a difference of window means of the
+landing measure over the arc of reflection starts.
 """
 
 from __future__ import annotations
@@ -97,99 +98,15 @@ def sample_rows_inverse_cdf(pmf_rows: np.ndarray, uniforms: np.ndarray) -> np.nd
     return (_planes(cdf_rows(pmf_rows))[:-1] <= uniforms).sum(axis=0)
 
 
-def _circular_overlap(u: float, width: float, lo: float, hi: float) -> float:
-    """Length of ([u, u + width) mod 1) intersected with [lo, hi)."""
-    end = u + width
-    if end <= 1.0:
-        return max(0.0, min(end, hi) - max(u, lo))
-    return max(0.0, hi - max(u, lo)) + max(0.0, min(end - 1.0, hi) - lo)
-
-
-def _overlap_segment_integral(t0: float, t1: float, width: float, lo: float, hi: float) -> float:
-    """Integral of the overlap over arc starts t in [t0, t1] within [0, 1].
-
-    The overlap is piecewise linear in t; splitting at its kinks makes the
-    trapezoid rule exact.
-    """
-    knots = {t0, t1}
-    for knot in (lo, hi, (lo - width) % 1.0, (hi - width) % 1.0, (1.0 - width) % 1.0):
-        if t0 < knot < t1:
-            knots.add(knot)
-    grid = sorted(knots)
-    total = 0.0
-    for a, b in zip(grid[:-1], grid[1:]):
-        total += (b - a) * 0.5 * (
-            _circular_overlap(a, width, lo, hi) + _circular_overlap(b, width, lo, hi)
-        )
-    return total
-
-
-def _cdf_bounds(cdf: np.ndarray, index: int):
-    lower = cdf[index - 1] if index > 0 else 0.0
-    return float(lower), float(cdf[index])
-
-
-def _indicator_segment(t0: float, t1: float, lo: float, hi: float) -> float:
-    return max(0.0, min(t1, hi) - max(t0, lo))
-
-
 def over_relax_conditional(row_pmf: np.ndarray, x0_index: int, x1_index: int, beta: float) -> float:
-    """Exact conditional probability p(x1 | x0) of the CDF-reflection move.
-
-    The landing interval of w1 = (-w0 + beta w~) mod 1 is measured by exact
-    piecewise-linear integration over w~, with w0 uniform on the CDF interval
-    of x0.
-    """
+    """Exact conditional probability p(x1 | x0) of the CDF-reflection move
+    w1 = (-w0 + beta w~) mod 1, w0 uniform on the CDF interval of x0: a
+    one-row call of the rows law."""
     row_pmf = np.asarray(row_pmf, dtype=float)
-    K = row_pmf.size
-    if K == 1:
-        return 1.0 if x1_index == x0_index else 0.0
     if row_pmf[x0_index] <= 0.0:
         raise InvalidStateError("current value has zero probability under the reference row")
-    return _conditional_from_cdf(cdf_rows(row_pmf), x0_index, x1_index, beta)
-
-
-def _conditional_from_cdf(cdf, x0_index: int, x1_index: int, beta: float) -> float:
-    """Conditional law from a precomputed row CDF (last entry pinned at 1)."""
-    a, b = _cdf_bounds(cdf, x0_index)
-    p0 = b - a
-    lo, hi = _cdf_bounds(cdf, x1_index)
-
-    if p0 <= 0.0:
-        # the CDF interval of x0 underflowed to zero width: use the
-        # point-interval limit of overlap/p0, an indicator in the arc start
-        if beta == 0.0:
-            return 1.0 if lo <= (-b) % 1.0 < hi else 0.0
-        span = abs(beta)
-        full, rem = divmod(span, 1.0)
-        total = full * (hi - lo)
-        if rem > 0.0:
-            start = (min(-b, beta - b)) % 1.0
-            t_end = start + rem
-            if t_end <= 1.0:
-                total += _indicator_segment(start, t_end, lo, hi)
-            else:
-                total += _indicator_segment(start, 1.0, lo, hi)
-                total += _indicator_segment(0.0, t_end - 1.0, lo, hi)
-        return total / span
-
-    if beta == 0.0:
-        # w1 = (-w0) mod 1 deterministic in w~; the landing arc starts at -b
-        return _circular_overlap((-b) % 1.0, p0, lo, hi) / p0
-
-    span = abs(beta)
-    full, rem = divmod(span, 1.0)
-    # average overlap over a full period is p0 * p1
-    total = full * p0 * (hi - lo)
-    if rem > 0.0:
-        start = (min(-b, beta - b)) % 1.0
-        t_end = start + rem
-        if t_end <= 1.0:
-            total += _overlap_segment_integral(start, t_end, p0, lo, hi)
-        else:
-            total += _overlap_segment_integral(start, 1.0, p0, lo, hi)
-            total += _overlap_segment_integral(0.0, t_end - 1.0, p0, lo, hi)
-    return total / (span * p0)
+    x0, x1 = np.array([x0_index]), np.array([x1_index])
+    return float(_over_relax_prob_rows(cdf_rows(row_pmf[None]), x0, x1, beta)[0])
 
 
 def over_relax_sample_rows(
@@ -234,62 +151,50 @@ def _overlap_rows(u, width, lo, hi):
     return np.where(end <= 1.0, direct, wrapped)
 
 
-def _segment_integral_rows(t0, t1, width, lo, hi):
-    """Vectorized exact integral of the overlap over arc starts in [t0, t1].
-
-    Trapezoid over the per-row kink candidates clipped into the segment;
-    clipped duplicates contribute zero-width pieces.  ``t0``/``t1`` may carry
-    extra leading axes over the rows.
-    """
-    kinks = np.stack(
-        [lo, hi, (lo - width) % 1.0, (hi - width) % 1.0, (1.0 - width) % 1.0], axis=-1
-    )
-    kinks = np.minimum(np.maximum(kinks, t0[..., None]), t1[..., None])
-    knots = np.concatenate([np.stack([t0, t1], axis=-1), kinks], axis=-1)
-    knots.sort(axis=-1)
-    g = _overlap_rows(knots, width[..., None], lo[..., None], hi[..., None])
-    steps = np.diff(knots, axis=-1)
-    return (steps * 0.5 * (g[..., 1:] + g[..., :-1])).sum(axis=-1)
+def _window_mean(x, p0, lo, hi):
+    """Mean over [x, x + p0] (x >= 0) of H(y), the measure of [lo, hi) + Z in [0, y):
+    H(x) plus, for the two periods the window meets, the integral of 1 - u/p0 over
+    the window offsets u in [0, p0] that land in [lo, hi).  Only offsets are divided
+    by p0, so the mean is accurate in absolute terms at every width; at p0 = 0 it is H(x)."""
+    k = np.floor(x)
+    f = x - k
+    mean = k * (hi - lo) + np.clip(f, lo, hi) - lo
+    width = np.where(p0 > 0.0, p0, 1.0)
+    for shift in (0.0, 1.0):
+        u0, u1 = np.clip(lo + shift - f, 0.0, p0), np.clip(hi + shift - f, 0.0, p0)
+        mean += (u1 - u0) * (1.0 - 0.5 * (u0 + u1) / width)
+    return mean
 
 
-def over_relax_log_prob_rows(cdf, x0_indices, x1_indices, beta: float) -> np.ndarray:
-    """Vectorized exact conditional log-probabilities from row CDFs.
+def _over_relax_prob_rows(cdf, x0_indices, x1_indices, beta: float) -> np.ndarray:
+    """Exact conditional probabilities from row CDFs.
 
-    Rows whose x0 CDF interval underflowed to zero width take the
-    point-interval limit of overlap / p0: the share of arc starts in
-    [lo, hi), an indicator at ``beta = 0``.
+    Arc starts t = beta w~ - b are uniform on [s, s + |beta|), and the landing
+    arc [t, t + p0) meets [lo, hi) + Z in H(t + p0) - H(t); so p(x1 | x0) is
+    (M(s + |beta|) - M(s)) / |beta| with M the window mean of H.  A zero-width
+    x0 interval takes the point-interval limit, an indicator at ``beta = 0``.
     """
     a, b = _cdf_interval_rows(cdf, np.asarray(x0_indices))
     lo, hi = _cdf_interval_rows(cdf, np.asarray(x1_indices))
     p0 = b - a
     point = p0 <= 0.0
     p0_safe = np.where(point, 1.0, p0)
-
     if beta == 0.0:
         # w1 = (-w0) mod 1 deterministic in w~; the landing arc starts at -b
         start = (-b) % 1.0
-        prob = np.where(
-            point, (lo <= start) & (start < hi), _overlap_rows(start, p0, lo, hi) / p0_safe
-        )
-    else:
-        span = abs(beta)
-        full, rem = divmod(span, 1.0)
+        return np.where(point, (lo <= start) & (start < hi), _overlap_rows(start, p0, lo, hi) / p0_safe)
+    span = abs(beta)
+    full, rem = divmod(span, 1.0)
+    if rem == 0.0:
         # average overlap over a full period is p0 * p1
-        total = full * p0_safe * (hi - lo)
-        if rem > 0.0:
-            start = np.minimum(-b, beta - b) % 1.0
-            t_end = start + rem
-            # the arc of starts [start, start + rem), split where it wraps past 1
-            first, wrapped = _segment_integral_rows(
-                np.stack([start, np.zeros_like(start)]),
-                np.stack([np.minimum(t_end, 1.0), np.maximum(t_end - 1.0, 0.0)]),
-                p0,
-                lo,
-                hi,
-            )
-            total = np.where(
-                point, total + _overlap_rows(start, rem, lo, hi), total + first + wrapped
-            )
-        prob = total / (span * p0_safe)
+        return full * p0_safe * (hi - lo) / (span * p0_safe)
+    start = np.minimum(-b, beta - b) % 1.0
+    gain = _window_mean(start + rem, p0, lo, hi) - _window_mean(start, p0, lo, hi)
+    # M is nondecreasing; clip the rounding that can leave an unreachable x1 just below 0
+    return np.maximum(full * (hi - lo) + gain, 0.0) / span
+
+
+def over_relax_log_prob_rows(cdf, x0_indices, x1_indices, beta: float) -> np.ndarray:
+    """Vectorized exact conditional log-probabilities from row CDFs, floored at ``LOG_FLOOR``."""
     with np.errstate(divide="ignore"):
-        return np.maximum(np.log(prob), LOG_FLOOR)
+        return np.maximum(np.log(_over_relax_prob_rows(cdf, x0_indices, x1_indices, beta)), LOG_FLOOR)

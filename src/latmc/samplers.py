@@ -77,6 +77,9 @@ class SamplerConfig:
     r: int = 1
 
     def __post_init__(self):
+        for name in ("epsilon", "delta", "phi", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.delta <= 0.0:

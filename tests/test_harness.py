@@ -91,8 +91,16 @@ class TestConfig:
         ({"target": {"name": "clock_potts", "side": 3, "q": 4, "couplng": 0.5}}, "couplng"),
         ({"target": {"name": "discrete_gaussian", "d": 2, "k": 2, "sigma": 2.0, "rho": 0.5,
                      "sigmma": 1.0}}, "sigmma"),
+        ({"sampler": {"delta": float("nan")}}, "delta must be finite, got nan"),
+        ({"sampler": {"delta": float("inf")}}, "delta must be finite, got inf"),
+        ({"sampler": {"delta": 0.25, "beta": float("nan")}}, "beta must be finite, got nan"),
+        ({"sampler": {"delta": 0.25, "beta": float("inf")}}, "beta must be finite, got inf"),
+        ({"sampler": {"delta": 0.25, "phi": float("nan")}}, "phi must be finite, got nan"),
+        ({"sampler": {"delta": 0.25, "phi": float("inf")}}, "phi must be finite, got inf"),
+        ({"sampler": {"delta": 0.25, "epsilon": float("nan")}}, "epsilon must be finite, got nan"),
     ], ids=["checkpoints", "workers", "cond_threshold", "tv_coords", "tune", "tune_key",
-            "clock_key", "gaussian_key"])
+            "clock_key", "gaussian_key", "delta_nan", "delta_inf", "beta_nan", "beta_inf",
+            "phi_nan", "phi_inf", "epsilon_nan"])
     def test_bad_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
         payload = dict(base_config(tmp_path).raw, **override)
         path = tmp_path / "bad.yaml"
@@ -138,7 +146,13 @@ class TestConfig:
         ({"epsilon": "x"}, "bad tune value"),
         ({"beta": [1.0]}, "bad tune value"),
         ({"delta_grid": ["a"]}, "bad tune value"),
-    ], ids=["probe_chains", "probe_length", "probe_burn_in", "epsilon", "beta", "delta_grid"])
+        ({"epsilon": float("nan")}, "epsilon must be finite, got nan"),
+        ({"beta": float("inf")}, "beta must be finite, got inf"),
+        ({"delta_grid": [0.25, float("nan")]}, "delta must be finite, got nan"),
+        ({"delta_grid": [0.25, -1.0]}, "delta must be positive"),
+        ({"phi_grid": [0.0, float("inf")]}, "phi must be finite, got inf"),
+    ], ids=["probe_chains", "probe_length", "probe_burn_in", "epsilon", "beta", "delta_grid",
+            "epsilon_nan", "beta_inf", "delta_grid_nan", "delta_grid_negative", "phi_grid_inf"])
     def test_bad_tune_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
         tune = dict({"delta_grid": [0.25], "probe_chains": 2, "probe_length": 50}, **override)
         payload = dict(base_config(tmp_path).raw, tune=tune)
