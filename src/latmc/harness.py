@@ -17,6 +17,7 @@ from . import __version__
 from .errors import ConfigError, EnumerationBudgetError, UndefinedESSError
 from .diagnostics import ess_multichain, exact_moments, index_pmf, moment_report, tv_distance
 from .precondition import (
+    SOLVERS,
     CalibrationSample,
     calibrate_w_energy_diff,
     calibrate_w_gradient_diff,
@@ -38,7 +39,10 @@ from .targets import (
 )
 from .tuning import staged_grid_search
 
-CALIBRATION_METHODS = ("gradient_diff", "energy_diff", "exact_quadratic", "none")
+FITTED_METHODS = ("gradient_diff", "energy_diff")
+CALIBRATION_METHODS = FITTED_METHODS + ("exact_quadratic", "none")
+# Kernels that run with the W = 0 burn-in preconditioner; git_gibbs needs the target's own W.
+BURN_IN_KERNELS = tuple(k for k in KERNELS if k != "git_gibbs")
 CONFIG_KEYS = frozenset({
     "target", "kernel", "sampler", "calibration", "chains", "length", "burn_in", "base_seed",
     "output_dir", "checkpoints", "tv_coords", "workers", "cond_threshold", "tune",
@@ -180,6 +184,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown calibration method {method!r}; choose from {CALIBRATION_METHODS}"
             )
+        _calibration_plan(calibration, sampler)
         if any(c > length for c in checkpoints):
             raise ConfigError("checkpoints must lie in [1, length]")
         for coords in tv_coords:
@@ -222,61 +227,72 @@ def _check_tv_coords(config: ExperimentConfig, target: TargetModel):
             raise ConfigError(f"tv_coords entry {list(coords)} has an axis outside [0, {d})")
 
 
-def _collect_calibration_sample(config: ExperimentConfig, target: TargetModel) -> CalibrationSample:
-    calib = config.calibration
-    steps = calib.get("burn_in_steps", 500)
+def _calibration_plan(calib: dict, sampler: SamplerConfig):
+    """The fitting methods' solver, burn-in kernel, burn-in step count and
+    burn-in sampler settings, each default written here once; a bad value
+    raises a ConfigError naming its key."""
+    solver = calib.get("solver", "lyapunov")
     kernel = calib.get("burn_in_kernel", "metropolis")
-    rng = chain_rng(config.base_seed, CALIBRATION_STREAM)
-    lattice = target.lattice
-    init = rng.integers(0, lattice.n_values, size=(1, lattice.dim))
-    burn_cfg = replace(
-        config.sampler,
-        delta=float(calib.get("burn_in_delta", config.sampler.delta)),
-        r=calib.get("burn_in_r", max(config.sampler.r, 2)),
-    )
-    pre = None
-    if kernel != "metropolis":
-        pre = first_order_preconditioner(lattice.dim, burn_cfg.delta, config.cond_threshold)
-    result = run_chains(kernel, target, pre, burn_cfg, steps, [rng], init)
-    states = np.concatenate([lattice.values[init], lattice.values[result.indices[0]]])
-    return CalibrationSample.from_states(target, states)
+    if solver not in SOLVERS:
+        raise ConfigError(f"calibration.solver must be one of {SOLVERS}, got {solver!r}")
+    if kernel not in BURN_IN_KERNELS:
+        raise ConfigError(f"calibration.burn_in_kernel must be one of {BURN_IN_KERNELS}, got {kernel!r}")
+    try:
+        burn_cfg = replace(
+            sampler, delta=float(calib.get("burn_in_delta", sampler.delta)),
+            r=calib.get("burn_in_r", max(sampler.r, 2)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad calibration.burn_in_delta: {exc}") from exc
+    return solver, kernel, calib.get("burn_in_steps", 500), burn_cfg
 
 
-def _preconditioner_by_delta(config: ExperimentConfig, target: TargetModel, sample=None):
-    """Map a stepsize to a preconditioner by the configured calibration
-    method.  The fitting methods estimate W once, from ``sample`` or else
-    from a fresh burn-in; a given sample requires a fitting method."""
-    calib = config.calibration
-    method = calib["method"]
+def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_csv=None):
+    """Resolve the calibration block into a map from stepsize to
+    preconditioner and the record written to the manifest and to
+    ``preconditioner.json``.  The fitting methods estimate W once, from the
+    states of ``chains_csv`` when given, else from a fresh burn-in run; a
+    chain CSV needs a fitting method."""
+    method = config.calibration["method"]
     threshold = config.cond_threshold
-    if sample is None and method == "exact_quadratic":
-        return lambda delta: exact_quadratic_preconditioner(target, delta, threshold)
-    if sample is None and method == "none":
-        return lambda delta: first_order_preconditioner(target.lattice.dim, delta, threshold)
-    if method not in ("gradient_diff", "energy_diff"):
+    lattice = target.lattice
+    info = {"method": method}
+    if chains_csv is not None and method not in FITTED_METHODS:
         raise ConfigError("calibration from a chain sample needs gradient_diff or energy_diff")
-    if sample is None:
-        sample = _collect_calibration_sample(config, target)
+    if method == "none":
+        info["label"] = "first-order specialization (W = 0)"
+        return (lambda delta: first_order_preconditioner(lattice.dim, delta, threshold)), info
+    if method == "exact_quadratic":
+        if target.quadratic_coeff is None:
+            raise ConfigError("calibration.method exact_quadratic needs a target with an exact quadratic W")
+        return (lambda delta: exact_quadratic_preconditioner(target, delta, threshold)), info
+    solver, kernel, steps, burn_cfg = _calibration_plan(config.calibration, config.sampler)
+    if chains_csv is not None:
+        info["source"] = str(chains_csv)
+        indices = _read_chain_indices(chains_csv, lattice)[0]
+    else:
+        info.update(burn_in_steps=steps, burn_in_kernel=kernel)
+        rng = chain_rng(config.base_seed, CALIBRATION_STREAM)
+        init = rng.integers(0, lattice.n_values, size=(1, lattice.dim))
+        pre = None if kernel == "metropolis" else first_order_preconditioner(
+            lattice.dim, burn_cfg.delta, threshold)
+        result = run_chains(kernel, target, pre, burn_cfg, steps, [rng], init)
+        indices = np.concatenate([init, result.indices[0]])
+    sample = CalibrationSample.from_states(target, lattice.values[indices])
     if method == "gradient_diff":
-        w = calibrate_w_gradient_diff(sample, method=calib.get("solver", "lyapunov"))
+        w = calibrate_w_gradient_diff(sample, method=solver)
     else:
         w = calibrate_w_energy_diff(sample)
-    return lambda delta: factorize(w, lambda_shift(w, delta), threshold)
+    return (lambda delta: factorize(w, lambda_shift(w, delta), threshold)), info
 
 
 def build_preconditioner(config: ExperimentConfig, target: TargetModel):
-    """Resolve the calibration method into a concrete preconditioner."""
-    method = config.calibration["method"]
-    info = {"method": method}
+    """The preconditioner at the configured stepsize and its calibration
+    record; the metropolis kernel uses none."""
     if config.kernel == "metropolis":
-        return None, info
-    pre = _preconditioner_by_delta(config, target)(config.sampler.delta)
-    if method == "none":
-        info["label"] = "first-order specialization (W = 0)"
-    elif method != "exact_quadratic":
-        info["burn_in_steps"] = config.calibration.get("burn_in_steps", 500)
-        info["burn_in_kernel"] = config.calibration.get("burn_in_kernel", "metropolis")
-    return pre, info
+        return None, {"method": config.calibration["method"]}
+    by_delta, info = _resolve_calibration(config, target)
+    return by_delta(config.sampler.delta), info
 
 
 def _run_chain_block(config: ExperimentConfig, pre, chain_lo: int, chain_hi: int):
@@ -459,22 +475,22 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
 
 def read_chain_csv(path):
-    """Read one chain CSV back into (draws, energies, accepted)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 4
-        draws, energies, accepted = [], [], []
-        for line, row in enumerate(reader, start=2):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-                draws.append([float(x) for x in row[2 : 2 + d]])
-                energies.append(float(row[2 + d]))
-                accepted.append(bool(int(row[3 + d])))
-            except ValueError as exc:
-                raise ConfigError(f"{path}, line {line}: {exc}") from exc
-    return np.asarray(draws).reshape(-1, d), np.asarray(energies), np.asarray(accepted)
+    """Read one chain CSV back into (draws, energies, accepted), checking that
+    each row has the header's field count, every cell is a number and every
+    accept flag is 0 or 1."""
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns of a file with no rows
+            width = len(fh.readline().split(","))
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if table.shape[1] != width:
+            raise ValueError(f"{table.shape[1]} fields, the header has {width}")
+        accepted = table[:, -1]
+        if not np.isin(accepted, (0, 1)).all():
+            raise ValueError("accept flags must be 0 or 1")
+    except (ValueError, UserWarning) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return table[:, 2:-2], table[:, -2], accepted == 1
 
 
 def _read_chain_indices(path, lattice, rows=None):
@@ -530,18 +546,20 @@ def tune_command(config: ExperimentConfig, out_dir=None) -> Path:
     try:
         grids = {"delta": [float(x) for x in tune["delta_grid"]],
                  "phi": [float(x) for x in tune.get("phi_grid", [0.0])]}
-        epsilon = float(tune.get("epsilon", config.sampler.epsilon))
-        beta = float(tune.get("beta", config.sampler.beta))
+        base = replace(
+            config.sampler, epsilon=float(tune.get("epsilon", config.sampler.epsilon)),
+            beta=float(tune.get("beta", config.sampler.beta)),
+        )
         for delta in grids["delta"]:
             for phi in grids["phi"]:
-                SamplerConfig(epsilon=epsilon, delta=delta, phi=phi, beta=beta)
+                replace(base, delta=delta, phi=phi)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad tune value: {exc}") from exc
     target = build_target(config.target)
+    by_delta, _ = _resolve_calibration(config, target)
     chosen, trace = staged_grid_search(
-        config.kernel, target, _preconditioner_by_delta(config, target), grids,
-        chains=chains, length=probe_length, rng=chain_rng(config.base_seed, TUNING_STREAM),
-        epsilon=epsilon, beta=beta, r=config.sampler.r, burn_in=burn_in,
+        config.kernel, target, by_delta, grids, chains=chains, length=probe_length,
+        rng=chain_rng(config.base_seed, TUNING_STREAM), base=base, burn_in=burn_in,
     )
     out_dir = Path(config.output_dir if out_dir is None else out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -556,15 +574,10 @@ def calibrate_command(config: ExperimentConfig, chains_csv=None, out_dir=None) -
     """Produce and serialize a preconditioner, either from a fresh burn-in
     run or from a stored chain CSV."""
     target = build_target(config.target)
-    if chains_csv is not None:
-        indices, _, _ = _read_chain_indices(chains_csv, target.lattice)
-        sample = CalibrationSample.from_states(target, target.lattice.values[indices])
-        pre = _preconditioner_by_delta(config, target, sample)(config.sampler.delta)
-        info = {"method": config.calibration["method"], "source": str(chains_csv)}
-    else:
-        pre, info = build_preconditioner(config, target)
-        if pre is None:
-            raise ConfigError("the metropolis kernel uses no preconditioner")
+    if chains_csv is None and config.kernel == "metropolis":
+        raise ConfigError("the metropolis kernel uses no preconditioner")
+    by_delta, info = _resolve_calibration(config, target, chains_csv)
+    pre = by_delta(config.sampler.delta)
     out_dir = Path(config.output_dir if out_dir is None else out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = pre.to_dict()

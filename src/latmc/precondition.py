@@ -18,6 +18,9 @@ RANK_TOL = 1e-10
 # Largest dimension for which the dense Kronecker system is allowed.
 KRON_MAX_DIM = 32
 
+# Solvers of the gradient-difference stationarity equation.
+SOLVERS = ("lyapunov", "kron")
+
 
 @dataclass(frozen=True)
 class Preconditioner:
@@ -140,12 +143,8 @@ def calibrate_w_gradient_diff(sample: CalibrationSample, method: str = "lyapunov
         system = np.kron(eye, gram) + np.kron(gram, eye)
         w = np.linalg.solve(system, rhs.reshape(-1)).reshape(d, d)
     else:
-        raise ValueError(f"unknown solver {method!r}; use 'lyapunov' or 'kron'")
+        raise ValueError(f"unknown solver {method!r}; choose from {SOLVERS}")
     return 0.5 * (w + w.T)
-
-
-def _vech_indices(d: int):
-    return [(i, j) for i in range(d) for j in range(i, d)]
 
 
 def calibrate_w_energy_diff(sample: CalibrationSample) -> np.ndarray:
@@ -157,31 +156,25 @@ def calibrate_w_energy_diff(sample: CalibrationSample) -> np.ndarray:
     """
     ds, _, keep = sample.differences()
     d = ds.shape[1]
-    n_par = d * (d + 1) // 2
-    grads = sample.grads[:-1][keep]
-    e = sample.energies
-    a = (e[1:] - e[:-1])[keep] - (grads * ds).sum(axis=1)
-
-    pairs = _vech_indices(d)
-    design = np.empty((ds.shape[0], n_par))
-    for col, (i, j) in enumerate(pairs):
-        if i == j:
-            design[:, col] = 0.5 * ds[:, i] * ds[:, i]
-        else:
-            design[:, col] = ds[:, i] * ds[:, j]
+    rows, cols = np.triu_indices(d)
+    n_par = rows.size
     if ds.shape[0] < n_par:
         raise RankDeficiencyError(
             f"{ds.shape[0]} distinct moves cannot identify {n_par} matrix entries"
         )
+    grads = sample.grads[:-1][keep]
+    e = sample.energies
+    a = (e[1:] - e[:-1])[keep] - (grads * ds).sum(axis=1)
+    design = ds[:, rows] * ds[:, cols]
+    design[:, rows == cols] *= 0.5
     solution, _, rank, _ = lstsq(design, a, lapack_driver="gelsy")
     if rank < n_par:
         raise RankDeficiencyError(
             f"design matrix rank {rank} < {n_par}; moves do not identify W"
         )
     w = np.zeros((d, d))
-    for col, (i, j) in enumerate(pairs):
-        w[i, j] = solution[col]
-        w[j, i] = solution[col]
+    w[rows, cols] = solution
+    w[cols, rows] = solution
     return w
 
 

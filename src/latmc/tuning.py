@@ -3,7 +3,7 @@ staged grid search selecting parameters by energy effective sample size."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,9 +84,7 @@ def target_acceptance(
     trace = TuneTrace()
     delta = float(delta0)
     for m in range(M + 1):
-        cfg = SamplerConfig(
-            epsilon=config.epsilon, delta=delta, phi=config.phi, beta=config.beta, r=config.r
-        )
+        cfg = replace(config, delta=delta)
         pre = factorize(w_matrix, lambda_shift(w_matrix, delta), cond_threshold)
         rate, _ = _probe_run(kernel, target, pre, cfg, chains=1, length=probe_len, rng=rng)
         trace.deltas.append(delta)
@@ -102,22 +100,12 @@ def target_acceptance(
 
 
 def _rank_candidates(entries):
-    """Pick the best (parameter, ess, rate) entry: ESS-maximal among
+    """Pick the best (candidate, ess, rate) entry: ESS-maximal among
     candidates inside the acceptance window (all candidates when the window
-    is empty), undefined ESS last, ties toward the smaller parameter."""
+    is empty), undefined ESS last, ties toward the earlier entry."""
     lo, hi = ACCEPT_WINDOW
-    gated = [e for e in entries if lo <= e[2] <= hi]
-    pool = gated if gated else entries
-    best = None
-    for param, ess, rate in pool:
-        if ess is None:
-            continue
-        if best is None or ess > best[1]:
-            best = (param, ess, rate)
-    if best is None:
-        # every candidate had undefined ESS; fall back to the smallest parameter
-        best = pool[0]
-    return best
+    pool = [e for e in entries if lo <= e[2] <= hi] or entries
+    return max((e for e in pool if e[1] is not None), key=lambda e: e[1], default=pool[0])
 
 
 def staged_grid_search(
@@ -128,20 +116,18 @@ def staged_grid_search(
     chains: int,
     length: int,
     rng,
-    epsilon: float = 0.9,
-    beta: float = 1.0,
-    r: int = 1,
+    base: SamplerConfig = SamplerConfig(),
     burn_in: int = 0,
 ) -> tuple[SamplerConfig, TuneTrace]:
     """Stagewise parameter selection by energy ESS.
 
-    Stage 1 fixes the auto-regression parameter (default 0.9) and the
-    over-relaxation parameter.  Stage 2 grid-searches the stepsize with
-    phi = 0; stage 3 keeps the chosen stepsize and selects phi.  Candidates
-    are ranked by the energy-series ESS of short probe runs, undefined ESS
-    ranking last, with deterministic ties toward the smaller stepsize and
-    then the smaller phi.  The whole search is a pure function of the probe
-    seeds and the grids.
+    Stage 1 fixes the auto-regression parameter and the over-relaxation
+    parameter at their ``base`` values.  Stage 2 grid-searches the stepsize
+    with phi = 0; stage 3, for momentum kernels, keeps the chosen stepsize and
+    selects phi.  Candidates are ranked by the energy-series ESS of short
+    probe runs, undefined ESS ranking last, with deterministic ties toward the
+    smaller stepsize and then the smaller phi.  The whole search is a pure
+    function of the probe seeds and the grids.
     """
     deltas = sorted(float(x) for x in grids.get("delta", []))
     phis = sorted(float(x) for x in grids.get("phi", [0.0]))
@@ -151,33 +137,24 @@ def staged_grid_search(
         raise ConfigError("empty phi grid")
 
     trace = TuneTrace()
-    stage2 = []
-    for delta in deltas:
-        cfg = SamplerConfig(epsilon=epsilon, delta=delta, phi=0.0, beta=beta, r=r)
-        rate, ess = _probe_run(kernel_family, target, pre_builder(delta), cfg, chains, length, rng, burn_in)
-        stage2.append((delta, ess, rate))
-        trace.deltas.append(delta)
-        trace.rates.append(rate)
-        key = f"stage2:epsilon={epsilon!r},delta={delta!r},phi=0.0,beta={beta!r},r={r}"
-        trace.ess_table[key] = None if ess is None else float(ess)
-    best_delta, _, _ = _rank_candidates(stage2)
-    trace.chosen = best_delta
-
+    best = replace(base, phi=0.0)
+    stages = [("stage2", "delta", deltas)]
     if kernel_family in MOMENTUM_KERNELS:
-        stage3 = []
-        for phi in phis:
-            cfg = SamplerConfig(epsilon=epsilon, delta=best_delta, phi=phi, beta=beta, r=r)
+        stages.append(("stage3", "phi", phis))
+    for stage, name, grid in stages:
+        entries = []
+        for value in grid:
+            cfg = replace(best, **{name: value})
             rate, ess = _probe_run(
-                kernel_family, target, pre_builder(best_delta), cfg, chains, length, rng, burn_in
+                kernel_family, target, pre_builder(cfg.delta), cfg, chains, length, rng, burn_in
             )
-            stage3.append((phi, ess, rate))
-            key = f"stage3:epsilon={epsilon!r},delta={best_delta!r},phi={phi!r},beta={beta!r},r={r}"
+            entries.append((cfg, ess, rate))
+            key = (f"{stage}:epsilon={cfg.epsilon!r},delta={cfg.delta!r},phi={cfg.phi!r},"
+                   f"beta={cfg.beta!r},r={cfg.r}")
             trace.ess_table[key] = None if ess is None else float(ess)
-        best_phi, _, _ = _rank_candidates(stage3)
-    else:
-        best_phi = 0.0
-
-    return (
-        SamplerConfig(epsilon=epsilon, delta=best_delta, phi=best_phi, beta=beta, r=r),
-        trace,
-    )
+            if name == "delta":
+                trace.deltas.append(value)
+                trace.rates.append(rate)
+        best = _rank_candidates(entries)[0]
+    trace.chosen = best.delta
+    return best, trace

@@ -81,6 +81,15 @@ class TestConfig:
             run_experiment(cfg)
         assert not (tmp_path / "run").exists()
 
+    def test_solver_typo_rejected_before_burn_in(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("burn-in started")
+
+        monkeypatch.setattr(harness, "run_chains", must_not_run)
+        with pytest.raises(ConfigError, match="calibration.solver"):
+            run_experiment(base_config(tmp_path, calibration={"method": "gradient_diff", "solver": "foo"}))
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("override, named", [
         ({"checkpoints": ["abc"]}, "abc"),
         ({"workers": "two"}, "two"),
@@ -98,9 +107,22 @@ class TestConfig:
         ({"sampler": {"delta": 0.25, "phi": float("nan")}}, "phi must be finite, got nan"),
         ({"sampler": {"delta": 0.25, "phi": float("inf")}}, "phi must be finite, got inf"),
         ({"sampler": {"delta": 0.25, "epsilon": float("nan")}}, "epsilon must be finite, got nan"),
+        ({"calibration": {"method": "gradient_diff", "burn_in_kernel": "bogus"}},
+         "calibration.burn_in_kernel"),
+        ({"calibration": {"method": "gradient_diff", "burn_in_kernel": "git_gibbs"}},
+         "calibration.burn_in_kernel"),
+        ({"calibration": {"method": "energy_diff", "burn_in_delta": "x"}}, "calibration.burn_in_delta"),
+        ({"calibration": {"method": "energy_diff", "burn_in_delta": float("nan")}},
+         "calibration.burn_in_delta: delta must be finite, got nan"),
+        ({"calibration": {"method": "energy_diff", "burn_in_delta": -1.0}},
+         "calibration.burn_in_delta: delta must be positive"),
+        ({"calibration": {"method": "gradient_diff", "solver": "foo"}}, "calibration.solver"),
+        ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2}}, "calibration.method"),
     ], ids=["checkpoints", "workers", "cond_threshold", "tv_coords", "tune", "tune_key",
             "clock_key", "gaussian_key", "delta_nan", "delta_inf", "beta_nan", "beta_inf",
-            "phi_nan", "phi_inf", "epsilon_nan"])
+            "phi_nan", "phi_inf", "epsilon_nan", "burn_in_kernel", "burn_in_kernel_git_gibbs",
+            "burn_in_delta", "burn_in_delta_nan", "burn_in_delta_negative", "solver",
+            "exact_quadratic_without_w"])
     def test_bad_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
         payload = dict(base_config(tmp_path).raw, **override)
         path = tmp_path / "bad.yaml"
@@ -296,7 +318,12 @@ class TestMalformedRunDirectory:
     @pytest.mark.parametrize("keep", [
         lambda text: "\n".join(text.splitlines()[:100]) + "\n",
         lambda text: text[: len(text) - 7],
-    ], ids=["rows_missing", "cut_inside_row"])
+        lambda text: text.splitlines()[0] + "\n",
+        lambda text: text[: len(text) - 2] + "2\n",
+        lambda text: text.replace("\n", "\nx", 1),
+        lambda text: text.replace("\n", ",0\n").replace(",0\n", "\n", 1),
+    ], ids=["rows_missing", "cut_inside_row", "header_only", "accept_flag", "text_cell",
+            "extra_field"])
     def test_truncated_chain_csv(self, tmp_path, capsys, keep):
         out = run_experiment(base_config(tmp_path))
         path = out / "chains" / "chain_0001.csv"
@@ -376,6 +403,20 @@ class TestCommands:
         payload = json.loads((cal_out / "preconditioner.json").read_text())
         target = build_target(cfg.target)
         assert np.abs(np.asarray(payload["W"]) - target.W_true).max() < 1e-8
+
+    @pytest.mark.parametrize("method", ["none", "exact_quadratic"])
+    def test_calibrate_from_chain_csv_needs_a_fitting_method(self, tmp_path, method):
+        out = run_experiment(base_config(tmp_path))
+        cfg = base_config(tmp_path, calibration={"method": method}, output_dir=str(tmp_path / "cal"))
+        with pytest.raises(ConfigError, match="needs gradient_diff or energy_diff"):
+            calibrate_command(cfg, chains_csv=out / "chains" / "chain_0000.csv")
+        assert not (tmp_path / "cal").exists()
+
+    def test_calibrate_metropolis_without_chain_csv(self, tmp_path):
+        cfg = base_config(tmp_path, kernel="metropolis", output_dir=str(tmp_path / "cal"))
+        with pytest.raises(ConfigError, match="uses no preconditioner"):
+            calibrate_command(cfg)
+        assert not (tmp_path / "cal").exists()
 
     def test_calibrate_fresh_burn_in(self, tmp_path):
         cfg = base_config(

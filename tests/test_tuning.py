@@ -159,3 +159,30 @@ class TestStagedGridSearch:
             chains=2, length=50, rng=np.random.default_rng(0),
         )
         assert cfg.delta == 0.2
+
+    def test_base_config_carries_the_fixed_parameters(self, monkeypatch):
+        # epsilon, beta and r come from the base config into every probe,
+        # the trace keys and the choice; delta and phi come from the grids
+        t = discrete_gaussian(2, 3, 2.0, 0.5)
+        probed = []
+
+        def fake_probe(kernel, target, pre, config, chains, length, rng, burn_in=0):
+            probed.append(config)
+            return 0.7, 10.0 + config.phi
+
+        monkeypatch.setattr(tuning, "_probe_run", fake_probe)
+        base = SamplerConfig(epsilon=0.7, delta=3.0, phi=0.5, beta=0.25, r=2)
+        cfg, trace = staged_grid_search(
+            "vpdhams", t, self._builder(t), {"delta": [0.2, 0.1], "phi": [0.0, 0.3]},
+            chains=2, length=50, rng=np.random.default_rng(0), base=base,
+        )
+        assert cfg == SamplerConfig(epsilon=0.7, delta=0.1, phi=0.3, beta=0.25, r=2)
+        assert [(c.delta, c.phi) for c in probed] == [(0.1, 0.0), (0.2, 0.0), (0.1, 0.0), (0.1, 0.3)]
+        assert all((c.epsilon, c.beta, c.r) == (0.7, 0.25, 2) for c in probed)
+        assert list(trace.ess_table) == [
+            "stage2:epsilon=0.7,delta=0.1,phi=0.0,beta=0.25,r=2",
+            "stage2:epsilon=0.7,delta=0.2,phi=0.0,beta=0.25,r=2",
+            "stage3:epsilon=0.7,delta=0.1,phi=0.0,beta=0.25,r=2",
+            "stage3:epsilon=0.7,delta=0.1,phi=0.3,beta=0.25,r=2",
+        ]
+        assert trace.deltas == [0.1, 0.2] and trace.chosen == 0.1
