@@ -17,7 +17,6 @@ from . import __version__
 from .errors import ConfigError, EnumerationBudgetError, UndefinedESSError
 from .diagnostics import ess_multichain, exact_moments, index_pmf, moment_report, tv_distance
 from .precondition import (
-    SOLVERS,
     CalibrationSample,
     calibrate_w_energy_diff,
     calibrate_w_gradient_diff,
@@ -48,7 +47,7 @@ CONFIG_KEYS = frozenset({
     "output_dir", "checkpoints", "tv_coords", "workers", "cond_threshold", "tune",
 })
 CALIBRATION_KEYS = frozenset({
-    "method", "solver", "burn_in_kernel", "burn_in_steps", "burn_in_delta", "burn_in_r",
+    "method", "burn_in_kernel", "burn_in_steps", "burn_in_delta", "burn_in_r",
 })
 TUNE_KEYS = frozenset({
     "delta_grid", "phi_grid", "probe_chains", "probe_length", "probe_burn_in", "epsilon", "beta",
@@ -171,6 +170,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad config value: {exc}") from exc
         if kernel not in KERNELS:
             raise ConfigError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+        if np.isnan(cond_threshold):
+            raise ConfigError("cond_threshold must be a number, got nan")
         try:
             block = dict(payload.get("sampler", {}))
             sampler = SamplerConfig(**dict(block, r=_config_int(block.get("r", SamplerConfig.r), "sampler.r", 1)))
@@ -184,6 +185,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown calibration method {method!r}; choose from {CALIBRATION_METHODS}"
             )
+        if kernel == "git_gibbs" and method != "exact_quadratic":
+            raise ConfigError(f"kernel git_gibbs needs calibration.method exact_quadratic, got {method!r}")
         _calibration_plan(calibration, sampler)
         if any(c > length for c in checkpoints):
             raise ConfigError("checkpoints must lie in [1, length]")
@@ -228,13 +231,10 @@ def _check_tv_coords(config: ExperimentConfig, target: TargetModel):
 
 
 def _calibration_plan(calib: dict, sampler: SamplerConfig):
-    """The fitting methods' solver, burn-in kernel, burn-in step count and
-    burn-in sampler settings, each default written here once; a bad value
-    raises a ConfigError naming its key."""
-    solver = calib.get("solver", "lyapunov")
+    """The fitting methods' burn-in kernel, burn-in step count and burn-in
+    sampler settings, each default written here once; a bad value raises a
+    ConfigError naming its key."""
     kernel = calib.get("burn_in_kernel", "metropolis")
-    if solver not in SOLVERS:
-        raise ConfigError(f"calibration.solver must be one of {SOLVERS}, got {solver!r}")
     if kernel not in BURN_IN_KERNELS:
         raise ConfigError(f"calibration.burn_in_kernel must be one of {BURN_IN_KERNELS}, got {kernel!r}")
     try:
@@ -244,7 +244,7 @@ def _calibration_plan(calib: dict, sampler: SamplerConfig):
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad calibration.burn_in_delta: {exc}") from exc
-    return solver, kernel, calib.get("burn_in_steps", 500), burn_cfg
+    return kernel, calib.get("burn_in_steps", 500), burn_cfg
 
 
 def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_csv=None):
@@ -266,7 +266,7 @@ def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_c
         if target.quadratic_coeff is None:
             raise ConfigError("calibration.method exact_quadratic needs a target with an exact quadratic W")
         return (lambda delta: exact_quadratic_preconditioner(target, delta, threshold)), info
-    solver, kernel, steps, burn_cfg = _calibration_plan(config.calibration, config.sampler)
+    kernel, steps, burn_cfg = _calibration_plan(config.calibration, config.sampler)
     if chains_csv is not None:
         info["source"] = str(chains_csv)
         indices = _read_chain_indices(chains_csv, lattice)[0]
@@ -280,7 +280,7 @@ def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_c
         indices = np.concatenate([init, result.indices[0]])
     sample = CalibrationSample.from_states(target, lattice.values[indices])
     if method == "gradient_diff":
-        w = calibrate_w_gradient_diff(sample, method=solver)
+        w = calibrate_w_gradient_diff(sample)
     else:
         w = calibrate_w_energy_diff(sample)
     return (lambda delta: factorize(w, lambda_shift(w, delta), threshold)), info
@@ -532,7 +532,7 @@ def recompute_metrics(run_dir, out_dir=None) -> Path:
     return out_dir
 
 
-def tune_command(config: ExperimentConfig, out_dir=None) -> Path:
+def tune_command(config: ExperimentConfig) -> Path:
     """Staged grid search for the configured kernel; writes the chosen
     sampler parameters and the full tuning trace as JSON."""
     if config.kernel not in ("pavg", "vpdhams", "opdhams"):
@@ -561,7 +561,7 @@ def tune_command(config: ExperimentConfig, out_dir=None) -> Path:
         config.kernel, target, by_delta, grids, chains=chains, length=probe_length,
         rng=chain_rng(config.base_seed, TUNING_STREAM), base=base, burn_in=burn_in,
     )
-    out_dir = Path(config.output_dir if out_dir is None else out_dir)
+    out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "tuned_config.json", "w") as fh:
         json.dump({"kernel": config.kernel, "sampler": asdict(chosen)}, fh, indent=2, sort_keys=True)
@@ -570,7 +570,7 @@ def tune_command(config: ExperimentConfig, out_dir=None) -> Path:
     return out_dir
 
 
-def calibrate_command(config: ExperimentConfig, chains_csv=None, out_dir=None) -> Path:
+def calibrate_command(config: ExperimentConfig, chains_csv=None) -> Path:
     """Produce and serialize a preconditioner, either from a fresh burn-in
     run or from a stored chain CSV."""
     target = build_target(config.target)
@@ -578,7 +578,7 @@ def calibrate_command(config: ExperimentConfig, chains_csv=None, out_dir=None) -
         raise ConfigError("the metropolis kernel uses no preconditioner")
     by_delta, info = _resolve_calibration(config, target, chains_csv)
     pre = by_delta(config.sampler.delta)
-    out_dir = Path(config.output_dir if out_dir is None else out_dir)
+    out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = pre.to_dict()
     payload["calibration"] = info

@@ -15,28 +15,24 @@ from .targets import TargetModel
 # treated as singular.
 RANK_TOL = 1e-10
 
-# Largest dimension for which the dense Kronecker system is allowed.
-KRON_MAX_DIM = 32
-
-# Solvers of the gradient-difference stationarity equation.
-SOLVERS = ("lyapunov", "kron")
-
 
 @dataclass(frozen=True)
 class Preconditioner:
     """Symmetric coupling matrix W, diagonal shift lam (D = lam I), and a
-    factor L with W + lam I = L L^T, plus cached inverse-transpose and
-    log-determinant data."""
+    factor L with W + lam I = L L^T, plus the log-determinant; W + lam I and
+    the inverse transpose of L are derived here."""
 
     W: np.ndarray
     lam: float
     L: np.ndarray
-    L_inv_T: np.ndarray
     factorization_kind: str
-    W_shifted: np.ndarray = field(repr=False)
     logdet: float = 0.0
+    W_shifted: np.ndarray = field(init=False, repr=False)
+    L_inv_T: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "W_shifted", self.W + self.lam * np.eye(self.W.shape[0]))
+        object.__setattr__(self, "L_inv_T", np.linalg.inv(self.L.T))
         factors = {"W": self.W, "W_shifted": self.W_shifted, "L": self.L, "L_inv": self.L_inv_T.T}
         for name, matrix in factors.items():
             diag = np.diag(matrix).copy()
@@ -64,16 +60,11 @@ class Preconditioner:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Preconditioner":
-        w = np.asarray(payload["W"], dtype=float)
-        lam = float(payload["lambda"])
-        ell = np.asarray(payload["L"], dtype=float)
         return cls(
-            W=w,
-            lam=lam,
-            L=ell,
-            L_inv_T=np.linalg.inv(ell.T),
+            W=np.asarray(payload["W"], dtype=float),
+            lam=float(payload["lambda"]),
+            L=np.asarray(payload["L"], dtype=float),
             factorization_kind=payload["kind"],
-            W_shifted=w + lam * np.eye(w.shape[0]),
             logdet=float(payload.get("logdet", 0.0)),
         )
 
@@ -113,13 +104,12 @@ class CalibrationSample:
         return ds[keep], df[keep], keep
 
 
-def calibrate_w_gradient_diff(sample: CalibrationSample, method: str = "lyapunov") -> np.ndarray:
+def calibrate_w_gradient_diff(sample: CalibrationSample) -> np.ndarray:
     """Estimate W by matching gradient differences to W times state moves.
 
     Solves the symmetric-constrained least-squares stationarity equation
-    (Ds^T Ds) W + W (Ds^T Ds) = Ds^T Df + Df^T Ds, either with the
-    Bartels-Stewart continuous-Lyapunov solver or, for small dimension, the
-    dense Kronecker linear system.
+    (Ds^T Ds) W + W (Ds^T Ds) = Ds^T Df + Df^T Ds with the Bartels-Stewart
+    continuous-Lyapunov solver.
     """
     ds, df, _ = sample.differences()
     d = ds.shape[1]
@@ -133,17 +123,7 @@ def calibrate_w_gradient_diff(sample: CalibrationSample, method: str = "lyapunov
         raise RankDeficiencyError(
             "state moves do not span the space (Gram matrix numerically singular)"
         )
-    rhs = ds.T @ df + df.T @ ds
-    if method == "lyapunov":
-        w = solve_continuous_lyapunov(gram, rhs)
-    elif method == "kron":
-        if d > KRON_MAX_DIM:
-            raise CalibrationError(f"Kronecker solve limited to dim <= {KRON_MAX_DIM}")
-        eye = np.eye(d)
-        system = np.kron(eye, gram) + np.kron(gram, eye)
-        w = np.linalg.solve(system, rhs.reshape(-1)).reshape(d, d)
-    else:
-        raise ValueError(f"unknown solver {method!r}; choose from {SOLVERS}")
+    w = solve_continuous_lyapunov(gram, ds.T @ df + df.T @ ds)
     return 0.5 * (w + w.T)
 
 
@@ -219,15 +199,7 @@ def factorize(w: np.ndarray, lam: float, cond_threshold: float = 100.0) -> Preco
         vals, vecs = vals[::-1], vecs[:, ::-1]
         ell = vecs * np.sqrt(vals)[None, :]
         kind = "eigen"
-    return Preconditioner(
-        W=w,
-        lam=float(lam),
-        L=ell,
-        L_inv_T=np.linalg.inv(ell.T),
-        factorization_kind=kind,
-        W_shifted=shifted,
-        logdet=float(np.log(eigvals).sum()),
-    )
+    return Preconditioner(W=w, lam=float(lam), L=ell, factorization_kind=kind, logdet=float(np.log(eigvals).sum()))
 
 
 def first_order_preconditioner(dim: int, delta: float, cond_threshold: float = 100.0) -> Preconditioner:

@@ -141,16 +141,6 @@ def _cdf_interval_rows(cdf, idx):
     return np.where(idx > 0, row_entries(cdf, idx - 1), 0.0), row_entries(cdf, idx)
 
 
-def _overlap_rows(u, width, lo, hi):
-    """Vectorized circular overlap of [u, u+width) with [lo, hi)."""
-    end = u + width
-    direct = np.maximum(0.0, np.minimum(end, hi) - np.maximum(u, lo))
-    wrapped = np.maximum(0.0, hi - np.maximum(u, lo)) + np.maximum(
-        0.0, np.minimum(end - 1.0, hi) - lo
-    )
-    return np.where(end <= 1.0, direct, wrapped)
-
-
 def _window_mean(x, p0, lo, hi):
     """Mean over [x, x + p0] (x >= 0) of H(y), the measure of [lo, hi) + Z in [0, y):
     H(x) plus, for the two periods the window meets, the integral of 1 - u/p0 over
@@ -171,27 +161,32 @@ def _over_relax_prob_rows(cdf, x0_indices, x1_indices, beta: float) -> np.ndarra
 
     Arc starts t = beta w~ - b are uniform on [s, s + |beta|), and the landing
     arc [t, t + p0) meets [lo, hi) + Z in H(t + p0) - H(t); so p(x1 | x0) is
-    (M(s + |beta|) - M(s)) / |beta| with M the window mean of H.  A zero-width
-    x0 interval takes the point-interval limit, an indicator at ``beta = 0``.
+    (M(s + |beta|) - M(s)) / |beta| with M the window mean of H, and each whole
+    period of |beta| adds hi - lo.  At ``beta = 0`` the move is the reflection
+    w1 = (-w0) mod 1; a zero-width x0 interval takes the point-interval limit,
+    an indicator of where its end b lands.
     """
     a, b = _cdf_interval_rows(cdf, np.asarray(x0_indices))
     lo, hi = _cdf_interval_rows(cdf, np.asarray(x1_indices))
     p0 = b - a
-    point = p0 <= 0.0
-    p0_safe = np.where(point, 1.0, p0)
     if beta == 0.0:
-        # w1 = (-w0) mod 1 deterministic in w~; the landing arc starts at -b
-        start = (-b) % 1.0
-        return np.where(point, (lo <= start) & (start < hi), _overlap_rows(start, p0, lo, hi) / p0_safe)
+        # 1 - x is exact for x in [1/2, 1] (Sterbenz): reflect the x0 interval's part
+        # above 1/2 onto [lo, hi), and [lo, hi) onto its part below
+        above = np.minimum(1.0 - np.maximum(a, 0.5), hi) - np.maximum(1.0 - np.maximum(b, 0.5), lo)
+        below = np.minimum(np.minimum(b, 0.5), 1.0 - lo) - np.maximum(np.minimum(a, 0.5), 1.0 - hi)
+        overlap = np.maximum(above, 0.0) + np.maximum(below, 0.0)
+        end = (-b) % 1.0  # exact unless 0 < b < 1/2, where [lo, hi) is reflected instead
+        hit = np.where((0.0 < b) & (b < 0.5), (1.0 - hi < b) & (b <= 1.0 - lo), (lo <= end) & (end < hi))
+        return np.where(p0 > 0.0, overlap / np.where(p0 > 0.0, p0, 1.0), hit)
     span = abs(beta)
     full, rem = divmod(span, 1.0)
-    if rem == 0.0:
-        # average overlap over a full period is p0 * p1
-        return full * p0_safe * (hi - lo) / (span * p0_safe)
-    start = np.minimum(-b, beta - b) % 1.0
-    gain = _window_mean(start + rem, p0, lo, hi) - _window_mean(start, p0, lo, hi)
-    # M is nondecreasing; clip the rounding that can leave an unreachable x1 just below 0
-    return np.maximum(full * (hi - lo) + gain, 0.0) / span
+    prob = full * (hi - lo)
+    if rem > 0.0:
+        start = np.minimum(-b, beta - b) % 1.0
+        gain = _window_mean(start + rem, p0, lo, hi) - _window_mean(start, p0, lo, hi)
+        # M is nondecreasing; clip the rounding that can leave an unreachable x1 just below 0
+        prob = np.maximum(prob + gain, 0.0)
+    return prob / span
 
 
 def over_relax_log_prob_rows(cdf, x0_indices, x1_indices, beta: float) -> np.ndarray:

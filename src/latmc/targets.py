@@ -54,9 +54,9 @@ class LatticeSpec:
 class TargetModel:
     """Evaluator contract shared by all targets.
 
-    Subclasses implement ``f`` and ``grad_f`` for one lattice point; the
-    batched variants default to loops and are overridden where a vectorized
-    form exists.  ``quadratic_coeff`` is ``(W_true, b)`` whenever
+    Subclasses implement ``f_batch`` and ``grad_batch`` over points ``(n, d)``,
+    returning ``(n,)`` energies and ``(n, d)`` gradients; ``f`` and ``grad_f``
+    are one-row calls of them.  ``quadratic_coeff`` is ``(W_true, b)`` whenever
     f(s) = 1/2 s^T W_true s + b^T s holds exactly, else ``None``.
     """
 
@@ -66,16 +66,16 @@ class TargetModel:
         self.lattice = lattice
 
     def f(self, s) -> float:
-        raise NotImplementedError
+        return float(self.f_batch(np.asarray(s, dtype=float)[None])[0])
 
     def grad_f(self, s) -> np.ndarray:
-        raise NotImplementedError
+        return self.grad_batch(np.asarray(s, dtype=float)[None])[0]
 
     def f_batch(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.f(p) for p in points])
+        raise NotImplementedError
 
     def grad_batch(self, points: np.ndarray) -> np.ndarray:
-        return np.stack([self.grad_f(p) for p in points])
+        raise NotImplementedError
 
 
 class QuadraticTarget(TargetModel):
@@ -95,13 +95,6 @@ class QuadraticTarget(TargetModel):
         self.W_true = w_true
         self.b = b
         self.quadratic_coeff = (self.W_true, self.b)
-
-    def f(self, s) -> float:
-        s = np.asarray(s, dtype=float)
-        return float(0.5 * ((s @ self.W_true) * s).sum() + self.b @ s)
-
-    def grad_f(self, s) -> np.ndarray:
-        return np.asarray(s, dtype=float) @ self.W_true + self.b
 
     def f_batch(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -168,12 +161,6 @@ class MixtureTarget(TargetModel):
         peak = lk.max(axis=1)
         return peak + np.log(np.exp(lk - peak[:, None]).sum(axis=1))
 
-    def f(self, s) -> float:
-        return float(self.f_batch(np.asarray(s, dtype=float)[None])[0])
-
-    def grad_f(self, s) -> np.ndarray:
-        return self.grad_batch(np.asarray(s, dtype=float)[None])[0]
-
     def f_batch(self, points) -> np.ndarray:
         lk, _ = self._log_kernels(np.asarray(points, dtype=float))
         return self._log_sum_exp(lk)
@@ -235,12 +222,6 @@ class ClockPottsTarget(TargetModel):
         up = np.roll(sites, 1, axis=0).reshape(-1)
         self._edge_ends = right, down
         self._neighbors = right, left, down, up
-
-    def f(self, s) -> float:
-        return float(self.f_batch(np.asarray(s, dtype=float)[None])[0])
-
-    def grad_f(self, s) -> np.ndarray:
-        return self.grad_batch(np.asarray(s, dtype=float)[None])[0]
 
     def f_batch(self, points) -> np.ndarray:
         theta = np.asarray(points, dtype=float) * self.angle_scale

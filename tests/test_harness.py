@@ -82,11 +82,12 @@ class TestConfig:
         assert not (tmp_path / "run").exists()
 
     def test_solver_typo_rejected_before_burn_in(self, tmp_path, monkeypatch):
+        # W is fitted by one solver, so ``solver`` is an unknown calibration key
         def must_not_run(*args, **kwargs):
             raise AssertionError("burn-in started")
 
         monkeypatch.setattr(harness, "run_chains", must_not_run)
-        with pytest.raises(ConfigError, match="calibration.solver"):
+        with pytest.raises(ConfigError, match="unknown calibration key.*: solver"):
             run_experiment(base_config(tmp_path, calibration={"method": "gradient_diff", "solver": "foo"}))
         assert not (tmp_path / "run").exists()
 
@@ -116,13 +117,15 @@ class TestConfig:
          "calibration.burn_in_delta: delta must be finite, got nan"),
         ({"calibration": {"method": "energy_diff", "burn_in_delta": -1.0}},
          "calibration.burn_in_delta: delta must be positive"),
-        ({"calibration": {"method": "gradient_diff", "solver": "foo"}}, "calibration.solver"),
+        ({"calibration": {"method": "gradient_diff", "solver": "lyapunov"}}, "unknown calibration key(s): solver"),
+        ({"kernel": "git_gibbs", "calibration": {"method": "none"}}, "calibration.method exact_quadratic"),
+        ({"cond_threshold": float("nan")}, "cond_threshold must be a number, got nan"),
         ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2}}, "calibration.method"),
     ], ids=["checkpoints", "workers", "cond_threshold", "tv_coords", "tune", "tune_key",
             "clock_key", "gaussian_key", "delta_nan", "delta_inf", "beta_nan", "beta_inf",
             "phi_nan", "phi_inf", "epsilon_nan", "burn_in_kernel", "burn_in_kernel_git_gibbs",
             "burn_in_delta", "burn_in_delta_nan", "burn_in_delta_negative", "solver",
-            "exact_quadratic_without_w"])
+            "git_gibbs_without_exact_w", "cond_threshold_nan", "exact_quadratic_without_w"])
     def test_bad_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
         payload = dict(base_config(tmp_path).raw, **override)
         path = tmp_path / "bad.yaml"

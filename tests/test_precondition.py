@@ -50,9 +50,13 @@ class TestGradientDiffCalibration:
         states = random_walk_states(t.lattice, 30, rng)
         grads = t.grad_batch(states) + 0.05 * np.sin(states)
         sample = CalibrationSample(states, grads, t.f_batch(states))
-        w_lyap = calibrate_w_gradient_diff(sample, method="lyapunov")
-        w_kron = calibrate_w_gradient_diff(sample, method="kron")
-        assert np.abs(w_lyap - w_kron).max() < 1e-9
+        w_lyap = calibrate_w_gradient_diff(sample)
+        # oracle: the stationarity equation as a dense Kronecker linear system
+        ds, df, _ = sample.differences()
+        gram, eye = ds.T @ ds, np.eye(3)
+        w_kron = np.linalg.solve(np.kron(eye, gram) + np.kron(gram, eye), (ds.T @ df + df.T @ ds).reshape(-1))
+        w_kron = w_kron.reshape(3, 3)
+        assert np.abs(w_lyap - 0.5 * (w_kron + w_kron.T)).max() < 1e-9
 
     def test_stationarity_residual(self, rng):
         t = quadratic_mixture(d=3, k=3, M=2, means=[[-1.0] * 3, [1.5] * 3], variances=[1.5, 2.5])

@@ -208,22 +208,16 @@ class TestOverRelax:
             assert np.abs(freq - law).max() < 4 * np.sqrt(0.25 / n) + 1e-3
 
 
-# at beta = 0 the move is a deterministic reflection whose landing arc starts at
-# (-b) mod 1; that start rounds by up to 1.1e-16, more than a narrow interval's width
-NARROW_AT_BETA_ZERO = pytest.mark.xfail(
-    strict=True, reason="the beta = 0 law divides the rounded reflection overlap by the width"
-)
 ZERO_WIDTH_CASES = [
-    pytest.param(width, beta, marks=[NARROW_AT_BETA_ZERO] if width != "0" and beta == 0.0 else [])
-    for width in ("0", "3e-17", "1e-15")
-    for beta in (0.0, 0.1, 0.3, -0.7, 1.4, 2.5)
+    (width, beta) for width in ("0", "3e-17", "1.7e-16", "1e-15") for beta in (0.0, 0.1, 0.3, -0.7, 1.4, 2.5)
 ]
 
 
 class TestZeroWidthLimit:
     # CDF rows keyed by the width of the current value's interval: zero, as
     # underflowed tails give (x0 = 2, or 0, or the last value), and so narrow
-    # that rounding divided by the width would be of order one
+    # that rounding divided by the width would be of order one; the 1.7e-16 rows
+    # straddle 1/2, so reflecting either whole interval, x0's or x1's, rounds
     ROWS = {
         "0": [
             (np.array([0.2, 0.5, 0.5, 0.8, 1.0]), 2),
@@ -235,6 +229,10 @@ class TestZeroWidthLimit:
             (np.array([1e-18, 3e-17, 0.3, 0.7, 1.0]), 1),
             (np.array([3e-17, 0.3, 0.6, 0.9, 1.0]), 0),
             (np.array([1e-17, 2e-17, 5e-17, 0.5, 1.0]), 2),
+        ],
+        "1.7e-16": [
+            (np.array([0.2, 0.5 - 2.0**-54, 0.5 + 2.0**-53, 0.8, 1.0]), 2),
+            (np.array([0.5 - 2.0**-54, 0.5 + 2.0**-53, 0.6, 0.9, 1.0]), 1),
         ],
         "1e-15": [
             (np.array([0.2, 0.5, 0.5 + 1e-15, 0.8, 1.0]), 2),
@@ -353,7 +351,9 @@ class TestValueMajorRows:
             )
 
     @pytest.mark.parametrize("shape, K", SHAPES)
-    @pytest.mark.parametrize("lam, beta", [(0.7, 0.1), (0.7, -0.9), (1e4, 0.3), (1e4, 2.7)])
+    @pytest.mark.parametrize("lam, beta", [
+        (0.7, 0.1), (0.7, -0.9), (1e4, 0.3), (1e4, 2.7), (0.7, 0.0), (1e4, 0.0), (0.7, 1.0), (1e4, -2.0),
+    ])
     def test_over_relax_law_matches_oracle(self, rng, shape, K, lam, beta):
         # lam = 1e4 rows floor their tails, so most x0 intervals are zero or
         # subnormal wide
