@@ -46,18 +46,16 @@ CONFIG_KEYS = frozenset({
     "target", "kernel", "sampler", "calibration", "chains", "length", "burn_in", "base_seed",
     "output_dir", "checkpoints", "tv_coords", "workers", "cond_threshold", "tune",
 })
-CALIBRATION_KEYS = frozenset({
-    "method", "burn_in_kernel", "burn_in_steps", "burn_in_delta", "burn_in_r",
-})
-TUNE_KEYS = frozenset({
-    "delta_grid", "phi_grid", "probe_chains", "probe_length", "probe_burn_in", "epsilon", "beta",
-})
+CALIBRATION_KEYS = frozenset({"method", "burn_in_kernel", "burn_in_steps", "burn_in_r"})
+TUNE_KEYS = frozenset({"delta_grid", "phi_grid", "probe_chains", "probe_length"})
 TARGET_KEYS = {
     "discrete_gaussian": frozenset({"d", "k", "sigma", "rho"}),
     "quadratic_mixture": frozenset({"d", "k", "M", "means", "variances"}),
     "clock_potts": frozenset({"side", "q", "coupling"}),
     "quadratic": frozenset({"k", "w_true", "b"}),
 }
+TARGET_INT_KEYS = frozenset({"d", "k", "M", "side", "q"})
+TARGET_ARRAY_KEYS = frozenset({"means", "variances", "w_true", "b"})
 METRICS_HEADER = ("metric", "detail", "n_draws", "value")
 TV_HEADER = ("metric", "coords", "n_draws", "mean", "sd")
 SEEDING_SCHEME = (
@@ -88,7 +86,8 @@ def chain_rng(base_seed: int, stream: int) -> np.random.Generator:
 
 
 def build_target(params: dict) -> TargetModel:
-    """Instantiate a registered target from its config mapping."""
+    """Instantiate a registered target from its config mapping; a key left
+    out takes the target factory's default."""
     params = dict(params)
     try:
         name = params.pop("name")
@@ -98,38 +97,27 @@ def build_target(params: dict) -> TargetModel:
         raise ConfigError(f"unknown target {name!r}")
     _reject_unknown_keys(params, TARGET_KEYS[name], f"{name} target")
     try:
-        if name == "discrete_gaussian":
-            return discrete_gaussian(
-                d=_config_int(params["d"], "d"), k=_config_int(params["k"], "k"),
-                sigma=float(params["sigma"]), rho=float(params["rho"]),
-            )
-        if name == "quadratic_mixture":
-            kwargs = {}
-            if "means" in params:
-                kwargs["means"] = np.asarray(params["means"], dtype=float)
-            if "variances" in params:
-                kwargs["variances"] = np.asarray(params["variances"], dtype=float)
-            return quadratic_mixture(
-                d=_config_int(params.get("d", 10), "d"), k=_config_int(params.get("k", 10), "k"),
-                M=_config_int(params.get("M", 9), "M"), **kwargs,
-            )
-        if name == "clock_potts":
-            return clock_potts(
-                side=_config_int(params["side"], "side"), q=_config_int(params["q"], "q"),
-                coupling=float(params.get("coupling", 1.0)),
-            )
-        w_true = np.asarray(params["w_true"], dtype=float)
-        b = np.asarray(params.get("b", np.zeros(w_true.shape[0])), dtype=float)
-        lattice = integer_lattice(w_true.shape[0], _config_int(params["k"], "k"))
-        return QuadraticTarget(lattice, w_true, b)
+        kwargs = {
+            key: _config_int(value, key) if key in TARGET_INT_KEYS
+            else np.asarray(value, dtype=float) if key in TARGET_ARRAY_KEYS else float(value)
+            for key, value in params.items()
+        }
+        if name == "quadratic":
+            w_true = kwargs["w_true"]
+            b = kwargs.get("b", np.zeros(len(w_true)))
+            return QuadraticTarget(integer_lattice(len(w_true), kwargs["k"]), w_true, b)
+        factory = {"discrete_gaussian": discrete_gaussian, "quadratic_mixture": quadratic_mixture,
+                   "clock_potts": clock_potts}[name]
+        return factory(**kwargs)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad target config for {name!r}: {exc}") from exc
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; ``raw`` keeps the normalized mapping
-    that reproduces this config (and lands in the manifest)."""
+    """Validated experiment description, every default filled in (the
+    ``calibration`` and ``tune`` blocks included); ``raw`` keeps the
+    normalized mapping that reproduces this config (and lands in the manifest)."""
 
     target: dict
     kernel: str
@@ -153,12 +141,12 @@ class ExperimentConfig:
         try:
             target = dict(payload["target"])
             kernel = str(payload["kernel"])
-            chains = _config_int(payload["chains"], "chains", 1)
-            length = _config_int(payload["length"], "length", 1)
+            chains = _config_int(payload["chains"], "chains", 2)
+            length = _config_int(payload["length"], "length", 2)
             burn_in = _config_int(payload.get("burn_in", 0), "burn_in", 0)
             base_seed = _config_int(payload["base_seed"], "base_seed", 0)
             output_dir = str(payload["output_dir"])
-            calibration = dict(payload.get("calibration", {"method": "none"}))
+            calibration = dict(payload.get("calibration", {}))
             checkpoints = [_config_int(c, "checkpoints", 1) for c in payload.get("checkpoints", [length])]
             tv_coords = [tuple(_config_int(i, "tv_coords", 0) for i in p) for p in payload.get("tv_coords", [])]
             workers = _config_int(payload.get("workers", 1), "workers", 1)
@@ -187,15 +175,29 @@ class ExperimentConfig:
             )
         if kernel == "git_gibbs" and method != "exact_quadratic":
             raise ConfigError(f"kernel git_gibbs needs calibration.method exact_quadratic, got {method!r}")
-        _calibration_plan(calibration, sampler)
+        raw = dict(payload, calibration=calibration)
+        calibration = {"burn_in_kernel": "metropolis", "burn_in_steps": 500, "burn_in_r": max(sampler.r, 2),
+                       **calibration}
+        if calibration["burn_in_kernel"] not in BURN_IN_KERNELS:
+            raise ConfigError(f"calibration.burn_in_kernel must be one of {BURN_IN_KERNELS}, "
+                              f"got {calibration['burn_in_kernel']!r}")
         if any(c > length for c in checkpoints):
             raise ConfigError("checkpoints must lie in [1, length]")
         for coords in tv_coords:
             if not coords or len(set(coords)) < len(coords):
                 raise ConfigError(f"tv_coords entry {list(coords)} needs distinct nonnegative axes")
         _reject_unknown_keys(tune, TUNE_KEYS, "tune")
-        raw = dict(payload)
-        raw["calibration"] = calibration
+        tune = {"delta_grid": [], "phi_grid": [0.0], "probe_chains": 4, "probe_length": 500, **tune}
+        for key in ("probe_chains", "probe_length"):
+            tune[key] = _config_int(tune[key], f"tune.{key}", 1)
+        try:
+            for key in ("delta_grid", "phi_grid"):
+                tune[key] = [float(x) for x in tune[key]]
+            for delta in tune["delta_grid"]:
+                for phi in tune["phi_grid"]:
+                    replace(sampler, delta=delta, phi=phi)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad tune value: {exc}") from exc
         return cls(
             target=target, kernel=kernel, sampler=sampler, calibration=calibration,
             chains=chains, length=length, burn_in=burn_in, base_seed=base_seed,
@@ -230,23 +232,6 @@ def _check_tv_coords(config: ExperimentConfig, target: TargetModel):
             raise ConfigError(f"tv_coords entry {list(coords)} has an axis outside [0, {d})")
 
 
-def _calibration_plan(calib: dict, sampler: SamplerConfig):
-    """The fitting methods' burn-in kernel, burn-in step count and burn-in
-    sampler settings, each default written here once; a bad value raises a
-    ConfigError naming its key."""
-    kernel = calib.get("burn_in_kernel", "metropolis")
-    if kernel not in BURN_IN_KERNELS:
-        raise ConfigError(f"calibration.burn_in_kernel must be one of {BURN_IN_KERNELS}, got {kernel!r}")
-    try:
-        burn_cfg = replace(
-            sampler, delta=float(calib.get("burn_in_delta", sampler.delta)),
-            r=calib.get("burn_in_r", max(sampler.r, 2)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad calibration.burn_in_delta: {exc}") from exc
-    return kernel, calib.get("burn_in_steps", 500), burn_cfg
-
-
 def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_csv=None):
     """Resolve the calibration block into a map from stepsize to
     preconditioner and the record written to the manifest and to
@@ -266,12 +251,13 @@ def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_c
         if target.quadratic_coeff is None:
             raise ConfigError("calibration.method exact_quadratic needs a target with an exact quadratic W")
         return (lambda delta: exact_quadratic_preconditioner(target, delta, threshold)), info
-    kernel, steps, burn_cfg = _calibration_plan(config.calibration, config.sampler)
     if chains_csv is not None:
         info["source"] = str(chains_csv)
         indices = _read_chain_indices(chains_csv, lattice)[0]
     else:
+        kernel, steps = config.calibration["burn_in_kernel"], config.calibration["burn_in_steps"]
         info.update(burn_in_steps=steps, burn_in_kernel=kernel)
+        burn_cfg = replace(config.sampler, r=config.calibration["burn_in_r"])
         rng = chain_rng(config.base_seed, CALIBRATION_STREAM)
         init = rng.integers(0, lattice.n_values, size=(1, lattice.dim))
         pre = None if kernel == "metropolis" else first_order_preconditioner(
@@ -307,7 +293,7 @@ def _run_chain_block(config: ExperimentConfig, pre, chain_lo: int, chain_hi: int
 
 
 def _run_all_chains(config: ExperimentConfig, pre):
-    if config.workers == 1 or config.chains == 1:
+    if config.workers == 1:
         blocks = [_run_chain_block(config, pre, 0, config.chains)]
     else:
         bounds = np.linspace(0, config.chains, config.workers + 1).astype(int)
@@ -415,7 +401,6 @@ def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
         out_dir / "metrics.csv", METRICS_HEADER,
         _scalar_metric_rows(config, values, kept_idx, energies[:, kept], accepted[:, kept]),
     )
-    moments = moments and config.chains >= 2
     joint = None
     if config.tv_coords or moments:
         try:
@@ -538,28 +523,15 @@ def tune_command(config: ExperimentConfig) -> Path:
     if config.kernel not in ("pavg", "vpdhams", "opdhams"):
         raise ConfigError("tuning applies to the pavg/vpdhams/opdhams kernels")
     tune = config.tune
-    if not tune.get("delta_grid"):
+    if not tune["delta_grid"]:
         raise ConfigError("tune.delta_grid must list candidate stepsizes")
-    probe_length = _config_int(tune.get("probe_length", 500), "tune.probe_length", 1)
-    chains = _config_int(tune.get("probe_chains", 4), "tune.probe_chains", 1)
-    burn_in = _config_int(tune.get("probe_burn_in", probe_length // 10), "tune.probe_burn_in", 0)
-    try:
-        grids = {"delta": [float(x) for x in tune["delta_grid"]],
-                 "phi": [float(x) for x in tune.get("phi_grid", [0.0])]}
-        base = replace(
-            config.sampler, epsilon=float(tune.get("epsilon", config.sampler.epsilon)),
-            beta=float(tune.get("beta", config.sampler.beta)),
-        )
-        for delta in grids["delta"]:
-            for phi in grids["phi"]:
-                replace(base, delta=delta, phi=phi)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tune value: {exc}") from exc
     target = build_target(config.target)
     by_delta, _ = _resolve_calibration(config, target)
     chosen, trace = staged_grid_search(
-        config.kernel, target, by_delta, grids, chains=chains, length=probe_length,
-        rng=chain_rng(config.base_seed, TUNING_STREAM), base=base, burn_in=burn_in,
+        config.kernel, target, by_delta, {"delta": tune["delta_grid"], "phi": tune["phi_grid"]},
+        chains=tune["probe_chains"], length=tune["probe_length"],
+        rng=chain_rng(config.base_seed, TUNING_STREAM), base=config.sampler,
+        burn_in=tune["probe_length"] // 10,
     )
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

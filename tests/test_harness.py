@@ -112,11 +112,13 @@ class TestConfig:
          "calibration.burn_in_kernel"),
         ({"calibration": {"method": "gradient_diff", "burn_in_kernel": "git_gibbs"}},
          "calibration.burn_in_kernel"),
-        ({"calibration": {"method": "energy_diff", "burn_in_delta": "x"}}, "calibration.burn_in_delta"),
+        # the burn-in runs at sampler.delta, so burn_in_delta is an unknown key
+        ({"calibration": {"method": "energy_diff", "burn_in_delta": "x"}},
+         "unknown calibration key(s): burn_in_delta"),
         ({"calibration": {"method": "energy_diff", "burn_in_delta": float("nan")}},
-         "calibration.burn_in_delta: delta must be finite, got nan"),
+         "unknown calibration key(s): burn_in_delta"),
         ({"calibration": {"method": "energy_diff", "burn_in_delta": -1.0}},
-         "calibration.burn_in_delta: delta must be positive"),
+         "unknown calibration key(s): burn_in_delta"),
         ({"calibration": {"method": "gradient_diff", "solver": "lyapunov"}}, "unknown calibration key(s): solver"),
         ({"kernel": "git_gibbs", "calibration": {"method": "none"}}, "calibration.method exact_quadratic"),
         ({"cond_threshold": float("nan")}, "cond_threshold must be a number, got nan"),
@@ -147,9 +149,11 @@ class TestConfig:
          "calibration.burn_in_steps must be an integer"),
         ({"target": {"name": "discrete_gaussian", "d": 2.5, "k": 2, "sigma": 2.0, "rho": 0.5}},
          "d must be an integer, got 2.5"),
-        ({"chains": 0}, "chains must be >= 1, got 0"),
+        ({"chains": 0}, "chains must be >= 2, got 0"),
+        ({"chains": 1}, "chains must be >= 2, got 1"),
+        ({"length": 1}, "length must be >= 2, got 1"),
     ], ids=["checkpoints", "chains", "length", "burn_in", "workers", "base_seed", "tv_coords",
-            "sampler_r", "burn_in_steps", "target_d", "chains_range"])
+            "sampler_r", "burn_in_steps", "target_d", "chains_range", "one_chain", "one_draw"])
     def test_integer_fields_do_not_truncate(self, tmp_path, capsys, override, named):
         payload = dict(base_config(tmp_path).raw, **override)
         path = tmp_path / "bad.yaml"
@@ -167,12 +171,13 @@ class TestConfig:
     @pytest.mark.parametrize("override, named", [
         ({"probe_chains": "x"}, "tune.probe_chains must be an integer, got 'x'"),
         ({"probe_length": 2.5}, "tune.probe_length must be an integer, got 2.5"),
-        ({"probe_burn_in": -1}, "tune.probe_burn_in must be >= 0, got -1"),
-        ({"epsilon": "x"}, "bad tune value"),
-        ({"beta": [1.0]}, "bad tune value"),
+        # probes burn in for probe_length // 10 steps at sampler.epsilon and sampler.beta
+        ({"probe_burn_in": -1}, "unknown tune key(s): probe_burn_in"),
+        ({"epsilon": "x"}, "unknown tune key(s): epsilon"),
+        ({"beta": [1.0]}, "unknown tune key(s): beta"),
         ({"delta_grid": ["a"]}, "bad tune value"),
-        ({"epsilon": float("nan")}, "epsilon must be finite, got nan"),
-        ({"beta": float("inf")}, "beta must be finite, got inf"),
+        ({"epsilon": float("nan")}, "unknown tune key(s): epsilon"),
+        ({"beta": float("inf")}, "unknown tune key(s): beta"),
         ({"delta_grid": [0.25, float("nan")]}, "delta must be finite, got nan"),
         ({"delta_grid": [0.25, -1.0]}, "delta must be positive"),
         ({"phi_grid": [0.0, float("inf")]}, "phi must be finite, got inf"),
@@ -186,6 +191,33 @@ class TestConfig:
         assert cli_main(["tune", "-c", str(path)]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_malformed_tune_block_fails_run_at_load(self, tmp_path, capsys):
+        payload = dict(base_config(tmp_path).raw, tune={"delta_grid": [0.25], "probe_chains": "x"})
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        assert cli_main(["run", "-c", str(path)]) == 2
+        assert "tune.probe_chains must be an integer, got 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_blocks_hold_every_default(self, tmp_path):
+        cfg = base_config(tmp_path, sampler={"delta": 0.25, "r": 3}, calibration={"burn_in_steps": 300.0},
+                          tune={"delta_grid": [1]})
+        assert cfg.calibration == {
+            "method": "none", "burn_in_kernel": "metropolis", "burn_in_steps": 300, "burn_in_r": 3,
+        }
+        assert cfg.tune == {"delta_grid": [1.0], "phi_grid": [0.0], "probe_chains": 4, "probe_length": 500}
+        assert type(cfg.calibration["burn_in_steps"]) is int and type(cfg.tune["delta_grid"][0]) is float
+        assert cfg.raw["calibration"] == {"method": "none", "burn_in_steps": 300}
+        assert cfg.raw["tune"] == {"delta_grid": [1]}
+        assert base_config(tmp_path).calibration["burn_in_r"] == 2
+
+    def test_target_keys_left_out_take_factory_defaults(self):
+        mixture = build_target({"name": "quadratic_mixture"})
+        assert (mixture.lattice.dim, mixture.lattice.n_values, len(mixture.means)) == (10, 21, 9)
+        assert build_target({"name": "clock_potts", "side": 2, "q": 3}).coupling == 1.0
+        quadratic = build_target({"name": "quadratic", "k": 1, "w_true": [[-1.0, 0.0], [0.0, -1.0]]})
+        assert np.array_equal(quadratic.b, [0.0, 0.0])
 
     def test_example_configs_parse(self):
         for path in Path("configs").glob("*.yaml"):
@@ -483,7 +515,7 @@ def test_chain_rng_streams_are_distinct():
 
 class TestNumericGuardExit:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_target_exits_3(self, tmp_path):
+    def test_overflowing_target_exits_3(self, tmp_path, capsys):
         payload = {
             "target": {
                 "name": "quadratic",
@@ -494,7 +526,7 @@ class TestNumericGuardExit:
             "kernel": "pavg",
             "sampler": {"delta": 0.5},
             "calibration": {"method": "exact_quadratic"},
-            "chains": 1,
+            "chains": 2,
             "length": 20,
             "burn_in": 0,
             "base_seed": 1,
@@ -505,6 +537,7 @@ class TestNumericGuardExit:
         path = tmp_path / "guard.yaml"
         path.write_text(yaml.safe_dump(payload))
         assert cli_main(["run", "-c", str(path)]) == 3
+        assert "step 0: non-finite proposal logits in chain 1" in capsys.readouterr().err
 
 
 class TestDeskConfigEndToEnd:
