@@ -264,7 +264,8 @@ def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_c
             lattice.dim, burn_cfg.delta, threshold)
         result = run_chains(kernel, target, pre, burn_cfg, steps, [rng], init)
         indices = np.concatenate([init, result.indices[0]])
-    sample = CalibrationSample.from_states(target, lattice.values[indices])
+    S, F, G = target.evaluate_indices(indices)
+    sample = CalibrationSample(S, G, F)
     if method == "gradient_diff":
         w = calibrate_w_gradient_diff(sample)
     else:

@@ -8,7 +8,10 @@ indices, and ``log_ratio`` gives the acceptance log-ratio together with the
 proposal and joint log-densities behind it.  Rows ``(m, d, K)`` are stored value-major
 (:mod:`latmc.proposals`); diagonal preconditioner matrices multiply elementwise.
 :func:`run_chains` loops the core over steps; the solo ``*_step`` functions
-and the ``*_transition_terms`` are one-chain calls of the same core.
+and the ``*_transition_terms`` are one-chain calls of the same core.  The
+core evaluates the target once per point, at lattice indices, through
+``TargetModel.evaluate_indices``; ``f``/``grad_f``/``*_batch`` serve
+off-lattice points.
 
 Randomness consumption per step is fixed so that shared-seed comparisons are
 well defined.  Each chain draws from its own generator, and every step takes
@@ -207,10 +210,7 @@ class _Core:
         self.over_relaxed = kernel_id == "opdhams"
 
     def evaluate(self, idx) -> _Points:
-        S = self.vals[idx]
-        F = self.target.f_batch(S)
-        G = None if self.kernel_id == "metropolis" else self.target.grad_batch(S)
-        return _Points(idx, S, F, G)
+        return _Points(idx, *self.target.evaluate_indices(idx, grad=self.kernel_id != "metropolis"))
 
     def _window(self, idx):
         """Metropolis index window of radius r, clipped at the lattice ends."""

@@ -56,7 +56,10 @@ class TargetModel:
 
     Subclasses implement ``f_batch`` and ``grad_batch`` over points ``(n, d)``,
     returning ``(n,)`` energies and ``(n, d)`` gradients; ``f`` and ``grad_f``
-    are one-row calls of them.  ``quadratic_coeff`` is ``(W_true, b)`` whenever
+    are one-row calls of them.  These four serve any point, on the lattice or
+    off it.  Samplers evaluate lattice points through ``evaluate_indices``,
+    which a target may override with a faster evaluation that returns the same
+    bits.  ``quadratic_coeff`` is ``(W_true, b)`` whenever
     f(s) = 1/2 s^T W_true s + b^T s holds exactly, else ``None``.
     """
 
@@ -76,6 +79,12 @@ class TargetModel:
 
     def grad_batch(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def evaluate_indices(self, idx, grad: bool = True):
+        """Points ``S``, energies ``F`` and gradients ``G`` at lattice indices
+        ``idx`` ``(n, d)``; ``G`` is ``None`` unless ``grad``."""
+        S = self.lattice.values[idx]
+        return S, self.f_batch(S), self.grad_batch(S) if grad else None
 
 
 class QuadraticTarget(TargetModel):
@@ -202,7 +211,15 @@ class ClockPottsTarget(TargetModel):
     theta_i = 2 pi s_i / q.  The energy sums cos(theta_i - theta_j) over the
     right and down neighbor of every site (2 L^2 edge terms; on the 2x2
     torus each physical pair therefore appears twice).
+
+    Spins take only q values, so ``evaluate_indices`` gathers every
+    cos(theta_a - theta_b) and sin(theta_a - theta_b) from q x q tables built
+    with the float operations of ``f_batch``/``grad_batch``, and returns
+    their bits without a per-point trig call.  Above ``TABLE_MAX_Q`` values
+    the tables would not be small, and the base evaluation runs instead.
     """
+
+    TABLE_MAX_Q = 1024
 
     def __init__(self, side: int, q: int, coupling: float):
         if side < 2:
@@ -222,21 +239,42 @@ class ClockPottsTarget(TargetModel):
         up = np.roll(sites, 1, axis=0).reshape(-1)
         self._edge_ends = right, down
         self._neighbors = right, left, down, up
+        self._cos_table = self._sin_table = None
+        if q <= self.TABLE_MAX_Q:
+            theta = self.lattice.values * self.angle_scale
+            diff = (theta[:, None] - theta[None, :]).reshape(-1)
+            self._cos_table, self._sin_table = np.cos(diff), np.sin(diff)
 
     def f_batch(self, points) -> np.ndarray:
         theta = np.asarray(points, dtype=float) * self.angle_scale
-        right, down = self._edge_ends
-        return self.coupling * (
-            np.cos(theta - theta[:, right]).sum(axis=1)
-            + np.cos(theta - theta[:, down]).sum(axis=1)
-        )
+        return self._energy(lambda neighbor: np.cos(theta - theta[:, neighbor]))
 
     def grad_batch(self, points) -> np.ndarray:
         theta = np.asarray(points, dtype=float) * self.angle_scale
-        # the four neighbor terms, added plane by plane in neighbor order
-        total = np.sin(theta - theta[:, self._neighbors[0]])
+        return self._gradient(lambda neighbor: np.sin(theta - theta[:, neighbor]))
+
+    def evaluate_indices(self, idx, grad: bool = True):
+        if self._cos_table is None:
+            return super().evaluate_indices(idx, grad)
+        # int16 chain indices would wrap in idx * q once q > 181
+        idx = np.asarray(idx, dtype=np.intp)
+        row = idx * self.q
+        F = self._energy(lambda neighbor: self._cos_table[row + idx[:, neighbor]])
+        G = self._gradient(lambda neighbor: self._sin_table[row + idx[:, neighbor]]) if grad else None
+        return self.lattice.values[idx], F, G
+
+    def _energy(self, cos_to):
+        """Energies from ``cos_to(neighbor)``, the ``(n, d)`` plane of
+        cos(theta_i - theta_neighbor(i)); one reduction for both evaluators."""
+        right, down = self._edge_ends
+        return self.coupling * (cos_to(right).sum(axis=1) + cos_to(down).sum(axis=1))
+
+    def _gradient(self, sin_to):
+        """Gradients from ``sin_to(neighbor)``, the four neighbor planes
+        added plane by plane in neighbor order."""
+        total = sin_to(self._neighbors[0])
         for neighbor in self._neighbors[1:]:
-            total += np.sin(theta - theta[:, neighbor])
+            total += sin_to(neighbor)
         return -self.coupling * self.angle_scale * total
 
 
@@ -273,8 +311,7 @@ def enumerate_joint(target: TargetModel, coords=None, budget: int = ENUMERATION_
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         idx = np.unravel_index(np.arange(start, stop), shape)
-        pts = lattice.values[np.stack(idx, axis=1)]
-        energies[start:stop] = target.f_batch(pts)
+        energies[start:stop] = target.evaluate_indices(np.stack(idx, axis=1), grad=False)[1]
 
     table = marginal(np.exp(energies - energies.max()).reshape(shape), coords)
     return table / table.sum()

@@ -32,8 +32,11 @@ from latmc.samplers import (
     vpdhams_transition_terms,
 )
 from latmc.targets import (
+    ClockPottsTarget,
     LatticeSpec,
     QuadraticTarget,
+    TargetModel,
+    clock_potts,
     discrete_gaussian,
     enumerate_joint,
     integer_lattice,
@@ -579,6 +582,31 @@ class TestLockstepDriver:
             for i in (0, 10, 49):
                 s = t.lattice.values[res.indices[c, i].astype(int)]
                 assert abs(t.f(s) - res.energies[c, i]) < 1e-10
+
+
+class BatchEvaluatedClock(ClockPottsTarget):
+    """Clock target evaluated through ``f_batch``/``grad_batch``, without tables."""
+
+    evaluate_indices = TargetModel.evaluate_indices
+
+
+@pytest.mark.parametrize(
+    "kernel, beta",
+    [("metropolis", 1.0), ("pavg", 1.0), ("vpdhams", 1.0), ("opdhams", 1.0), ("opdhams", 0.3)],
+)
+def test_clock_tables_keep_trajectories(kernel, beta):
+    cfg = SamplerConfig(epsilon=0.85, delta=8.0, phi=0.04, beta=beta)
+    pre = None if kernel == "metropolis" else first_order_preconditioner(16, cfg.delta)
+    runs = []
+    for t in (clock_potts(4, 6, 0.8), BatchEvaluatedClock(4, 6, 0.8)):
+        rngs = [chain_rng(11, i) for i in range(4)]
+        init = np.stack([g.integers(0, 6, size=16) for g in rngs])
+        runs.append(run_chains(kernel, t, pre, cfg, 100, rngs, init))
+    tables, batch = runs
+    assert 0 < tables.accepted.mean() < 1
+    assert np.array_equal(tables.indices, batch.indices)
+    assert np.array_equal(tables.energies, batch.energies)
+    assert np.array_equal(tables.accepted, batch.accepted)
 
 
 class TestStationarityQuick:

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from latmc.errors import EnumerationBudgetError
 from latmc.targets import (
+    ClockPottsTarget,
     LatticeSpec,
     QuadraticTarget,
     clock_potts,
@@ -175,6 +176,49 @@ def test_batch_evaluators_match_scalar(rng):
         pts = np.stack([target.lattice.random_point(rng) for _ in range(15)])
         assert np.array_equal(target.f_batch(pts), np.array([target.f(p) for p in pts]))
         assert np.array_equal(target.grad_batch(pts), np.stack([target.grad_f(p) for p in pts]))
+
+
+class TestIndexedEvaluation:
+    @pytest.mark.parametrize(
+        "side, q, coupling",
+        [(2, 3, 1.0), (3, 4, 0.5), (20, 7, 1.0), (4, 2, -1.0), (3, 200, 1.0)],
+    )
+    def test_clock_tables_match_batch_evaluators(self, side, q, coupling, rng):
+        t = clock_potts(side, q, coupling)
+        # int16 as run_chains stores them; at q = 200, (q - 1) * q wraps in int16
+        idx = rng.integers(0, q, size=(5, side * side)).astype(np.int16)
+        idx[0, 0] = q - 1
+        S, F, G = t.evaluate_indices(idx)
+        assert np.array_equal(S, t.lattice.values[idx])
+        assert np.array_equal(F, t.f_batch(S))
+        assert np.array_equal(G, t.grad_batch(S))
+
+    def test_clock_above_table_limit_uses_batch_evaluators(self, rng):
+        q = ClockPottsTarget.TABLE_MAX_Q + 1
+        t = clock_potts(2, q)
+        assert t._cos_table is None
+        idx = rng.integers(0, q, size=(3, 4))
+        S, F, G = t.evaluate_indices(idx)
+        assert np.array_equal(F, t.f_batch(S))
+        assert np.array_equal(G, t.grad_batch(S))
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            discrete_gaussian(3, 3, 2.0, 0.4),
+            quadratic_mixture(d=2, k=3, M=2, means=[[-1.0, 0.0], [1.0, 1.0]], variances=[1.0, 2.0]),
+            clock_potts(3, 5, 1.0),
+        ],
+    )
+    def test_values_energies_and_gradients_at_indices(self, target, rng):
+        idx = rng.integers(0, target.lattice.n_values, size=(6, target.lattice.dim))
+        S, F, G = target.evaluate_indices(idx)
+        assert np.array_equal(S, target.lattice.values[idx])
+        assert np.array_equal(F, target.f_batch(S))
+        assert np.array_equal(G, target.grad_batch(S))
+        S2, F2, G2 = target.evaluate_indices(idx, grad=False)
+        assert G2 is None
+        assert np.array_equal(S2, S) and np.array_equal(F2, F)
 
 
 class TestEnumerateJoint:
