@@ -58,4 +58,4 @@ from .diagnostics import (
     moment_report,
     tv_distance,
 )
-from .tuning import TuneTrace, staged_grid_search, target_acceptance
+from .tuning import staged_grid_search

@@ -7,7 +7,7 @@ import csv
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from . import __version__
 from .errors import ConfigError, EnumerationBudgetError, UndefinedESSError
 from .diagnostics import ess_multichain, exact_moments, index_pmf, moment_report, tv_distance
 from .precondition import (
+    COND_THRESHOLD,
     CalibrationSample,
     calibrate_w_energy_diff,
     calibrate_w_gradient_diff,
@@ -130,10 +131,10 @@ class ExperimentConfig:
     output_dir: str
     checkpoints: list
     tv_coords: list
-    workers: int = 1
-    cond_threshold: float = 100.0
-    tune: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    workers: int
+    cond_threshold: float
+    tune: dict
+    raw: dict
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -150,7 +151,7 @@ class ExperimentConfig:
             checkpoints = [_config_int(c, "checkpoints", 1) for c in payload.get("checkpoints", [length])]
             tv_coords = [tuple(_config_int(i, "tv_coords", 0) for i in p) for p in payload.get("tv_coords", [])]
             workers = _config_int(payload.get("workers", 1), "workers", 1)
-            cond_threshold = float(payload.get("cond_threshold", 100.0))
+            cond_threshold = float(payload.get("cond_threshold", COND_THRESHOLD))
             tune = dict(payload.get("tune", {}))
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
@@ -189,15 +190,16 @@ class ExperimentConfig:
         _reject_unknown_keys(tune, TUNE_KEYS, "tune")
         tune = {"delta_grid": [], "phi_grid": [0.0], "probe_chains": 4, "probe_length": 500, **tune}
         for key in ("probe_chains", "probe_length"):
-            tune[key] = _config_int(tune[key], f"tune.{key}", 1)
+            tune[key] = _config_int(tune[key], f"tune.{key}", 2)
         try:
-            for key in ("delta_grid", "phi_grid"):
-                tune[key] = [float(x) for x in tune[key]]
-            for delta in tune["delta_grid"]:
-                for phi in tune["phi_grid"]:
-                    replace(sampler, delta=delta, phi=phi)
+            for name in ("delta", "phi"):
+                tune[f"{name}_grid"] = [float(x) for x in tune[f"{name}_grid"]]
+                for value in tune[f"{name}_grid"]:
+                    replace(sampler, **{name: value})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad tune value: {exc}") from exc
+        if not tune["phi_grid"]:
+            raise ConfigError("tune.phi_grid must list at least one phi")
         return cls(
             target=target, kernel=kernel, sampler=sampler, calibration=calibration,
             chains=chains, length=length, burn_in=burn_in, base_seed=base_seed,
@@ -539,7 +541,7 @@ def tune_command(config: ExperimentConfig) -> Path:
     with open(out_dir / "tuned_config.json", "w") as fh:
         json.dump({"kernel": config.kernel, "sampler": asdict(chosen)}, fh, indent=2, sort_keys=True)
     with open(out_dir / "tune_trace.json", "w") as fh:
-        json.dump(trace.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(trace, fh, indent=2, sort_keys=True)
     return out_dir
 
 

@@ -14,6 +14,8 @@ from .targets import TargetModel
 # Relative eigenvalue floor below which the Gram matrix of state moves is
 # treated as singular.
 RANK_TOL = 1e-10
+# Default condition number of W + lam I below which the factor is Cholesky.
+COND_THRESHOLD = 100.0
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def lambda_shift(w: np.ndarray, delta: float) -> float:
     return delta - min(0.0, lam_min)
 
 
-def factorize(w: np.ndarray, lam: float, cond_threshold: float = 100.0) -> Preconditioner:
+def factorize(w: np.ndarray, lam: float, cond_threshold: float = COND_THRESHOLD) -> Preconditioner:
     """Factor W + lam I = L L^T, choosing the factor by condition number.
 
     Below ``cond_threshold`` L is the lower-triangular Cholesky factor;
@@ -202,14 +204,14 @@ def factorize(w: np.ndarray, lam: float, cond_threshold: float = 100.0) -> Preco
     return Preconditioner(W=w, lam=float(lam), L=ell, factorization_kind=kind, logdet=float(np.log(eigvals).sum()))
 
 
-def first_order_preconditioner(dim: int, delta: float, cond_threshold: float = 100.0) -> Preconditioner:
+def first_order_preconditioner(dim: int, delta: float, cond_threshold: float = COND_THRESHOLD) -> Preconditioner:
     """The W = 0 specialization: lam = delta and L = sqrt(delta) I."""
     w = np.zeros((dim, dim))
     return factorize(w, lambda_shift(w, delta), cond_threshold)
 
 
 def exact_quadratic_preconditioner(
-    target: TargetModel, delta: float, cond_threshold: float = 100.0
+    target: TargetModel, delta: float, cond_threshold: float = COND_THRESHOLD
 ) -> Preconditioner:
     """Use the target's true quadratic coefficient matrix as W."""
     if target.quadratic_coeff is None:

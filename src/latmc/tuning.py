@@ -1,39 +1,19 @@
-"""Parameter tuning: stepsize search targeting an acceptance rate, and the
-staged grid search selecting parameters by energy effective sample size."""
+"""Parameter tuning: the staged grid search selecting the stepsize and then
+phi by the energy effective sample size of short multi-chain probe runs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigError, UndefinedESSError
 from .diagnostics import ess_multichain
-from .precondition import factorize, lambda_shift
 from .samplers import MOMENTUM_KERNELS, SamplerConfig, run_chains
 from .targets import TargetModel
 
 # Acceptance-rate window gating stepsize candidates before ESS ranking.
 ACCEPT_WINDOW = (0.5, 0.9)
-
-
-@dataclass
-class TuneTrace:
-    """Record of a tuning run: stepsizes tried, observed acceptance rates,
-    the chosen stepsize, and the energy-ESS table of the grid stages."""
-
-    deltas: list = field(default_factory=list)
-    rates: list = field(default_factory=list)
-    chosen: float | None = None
-    ess_table: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "deltas": [float(x) for x in self.deltas],
-            "rates": [float(x) for x in self.rates],
-            "chosen": None if self.chosen is None else float(self.chosen),
-            "ess_table": {key: value for key, value in self.ess_table.items()},
-        }
 
 
 def _probe_run(kernel_id, target, pre, config, chains, length, rng, burn_in=0):
@@ -44,59 +24,11 @@ def _probe_run(kernel_id, target, pre, config, chains, length, rng, burn_in=0):
     init = np.stack([g.integers(0, lattice.n_values, size=lattice.dim) for g in child])
     result = run_chains(kernel_id, target, pre, config, burn_in + length, child, init)
     rate = float(result.accepted[:, burn_in:].mean())
-    if chains >= 2 and length >= 2:
-        try:
-            ess = ess_multichain(result.energies[:, burn_in:])
-        except UndefinedESSError:
-            ess = None
-    else:
+    try:
+        ess = ess_multichain(result.energies[:, burn_in:])
+    except UndefinedESSError:
         ess = None
     return rate, ess
-
-
-def target_acceptance(
-    kernel: str,
-    target: TargetModel,
-    w_matrix,
-    delta0: float,
-    alpha_target: float,
-    rng,
-    a: float = 0.6,
-    M: int = 20,
-    probe_len: int = 200,
-    config: SamplerConfig = SamplerConfig(),
-    cond_threshold: float = 100.0,
-) -> TuneTrace:
-    """Multiplicative stepsize search targeting an acceptance rate.
-
-    At stage m the stepsize moves by exp(+(1+m)^-a) when the observed rate is
-    below the target and exp(-(1+m)^-a) when above (unchanged on exact
-    equality); the returned trace marks the stepsize whose rate came closest,
-    first-found on ties.
-    """
-    if delta0 <= 0:
-        raise ValueError("delta0 must be positive")
-    if not 0.0 < alpha_target < 1.0:
-        raise ValueError("alpha_target must lie strictly inside (0, 1)")
-    if a <= 0 or M < 1:
-        raise ValueError("need a > 0 and M >= 1")
-    w_matrix = np.asarray(w_matrix, dtype=float)
-    trace = TuneTrace()
-    delta = float(delta0)
-    for m in range(M + 1):
-        cfg = replace(config, delta=delta)
-        pre = factorize(w_matrix, lambda_shift(w_matrix, delta), cond_threshold)
-        rate, _ = _probe_run(kernel, target, pre, cfg, chains=1, length=probe_len, rng=rng)
-        trace.deltas.append(delta)
-        trace.rates.append(rate)
-        step = (1.0 + m) ** (-a)
-        if rate < alpha_target:
-            delta = delta * float(np.exp(step))
-        elif rate > alpha_target:
-            delta = delta * float(np.exp(-step))
-    best = int(np.argmin([abs(r - alpha_target) for r in trace.rates]))
-    trace.chosen = trace.deltas[best]
-    return trace
 
 
 def _rank_candidates(entries):
@@ -118,7 +50,7 @@ def staged_grid_search(
     rng,
     base: SamplerConfig = SamplerConfig(),
     burn_in: int = 0,
-) -> tuple[SamplerConfig, TuneTrace]:
+) -> tuple[SamplerConfig, dict]:
     """Stagewise parameter selection by energy ESS.
 
     Stage 1 fixes the auto-regression parameter and the over-relaxation
@@ -127,7 +59,9 @@ def staged_grid_search(
     selects phi.  Candidates are ranked by the energy-series ESS of short
     probe runs, undefined ESS ranking last, with deterministic ties toward the
     smaller stepsize and then the smaller phi.  The whole search is a pure
-    function of the probe seeds and the grids.
+    function of the probe seeds and the grids.  The trace maps ``deltas`` and
+    ``rates`` to the stepsizes probed and their acceptance rates, ``chosen`` to
+    the chosen stepsize and ``ess_table`` to each probe's energy ESS.
     """
     deltas = sorted(float(x) for x in grids.get("delta", []))
     phis = sorted(float(x) for x in grids.get("phi", [0.0]))
@@ -135,8 +69,10 @@ def staged_grid_search(
         raise ConfigError("empty stepsize grid")
     if not phis:
         raise ConfigError("empty phi grid")
+    if chains < 2 or length < 2:
+        raise ConfigError(f"probe runs need at least 2 chains of 2 steps, got {chains} x {length}")
 
-    trace = TuneTrace()
+    trace = {"deltas": [], "rates": [], "chosen": None, "ess_table": {}}
     best = replace(base, phi=0.0)
     stages = [("stage2", "delta", deltas)]
     if kernel_family in MOMENTUM_KERNELS:
@@ -151,10 +87,10 @@ def staged_grid_search(
             entries.append((cfg, ess, rate))
             key = (f"{stage}:epsilon={cfg.epsilon!r},delta={cfg.delta!r},phi={cfg.phi!r},"
                    f"beta={cfg.beta!r},r={cfg.r}")
-            trace.ess_table[key] = None if ess is None else float(ess)
+            trace["ess_table"][key] = None if ess is None else float(ess)
             if name == "delta":
-                trace.deltas.append(value)
-                trace.rates.append(rate)
+                trace["deltas"].append(value)
+                trace["rates"].append(rate)
         best = _rank_candidates(entries)[0]
-    trace.chosen = best.delta
+    trace["chosen"] = best.delta
     return best, trace

@@ -181,8 +181,16 @@ class TestConfig:
         ({"delta_grid": [0.25, float("nan")]}, "delta must be finite, got nan"),
         ({"delta_grid": [0.25, -1.0]}, "delta must be positive"),
         ({"phi_grid": [0.0, float("inf")]}, "phi must be finite, got inf"),
+        ({"phi_grid": []}, "tune.phi_grid must list at least one phi"),
+        # a bad delta is found under an empty phi grid too
+        ({"delta_grid": [-1.0], "phi_grid": []}, "delta must be positive"),
+        # the energy ESS that ranks the probes needs two chains of two draws
+        ({"probe_chains": 1}, "tune.probe_chains must be >= 2, got 1"),
+        ({"probe_length": 1}, "tune.probe_length must be >= 2, got 1"),
     ], ids=["probe_chains", "probe_length", "probe_burn_in", "epsilon", "beta", "delta_grid",
-            "epsilon_nan", "beta_inf", "delta_grid_nan", "delta_grid_negative", "phi_grid_inf"])
+            "epsilon_nan", "beta_inf", "delta_grid_nan", "delta_grid_negative", "phi_grid_inf",
+            "phi_grid_empty", "delta_grid_negative_phi_grid_empty", "probe_chains_range",
+            "probe_length_range"])
     def test_bad_tune_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
         tune = dict({"delta_grid": [0.25], "probe_chains": 2, "probe_length": 50}, **override)
         payload = dict(base_config(tmp_path).raw, tune=tune)

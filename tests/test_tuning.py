@@ -7,65 +7,7 @@ from latmc.diagnostics import ess_multichain
 from latmc.precondition import exact_quadratic_preconditioner, factorize, lambda_shift
 from latmc.samplers import SamplerConfig
 from latmc.targets import discrete_gaussian
-from latmc.tuning import staged_grid_search, target_acceptance
-
-
-def _constant_rate_probe(rate):
-    def fake(kernel, target, pre, config, chains, length, rng, burn_in=0):
-        return rate, None
-
-    return fake
-
-
-class TestTargetAcceptance:
-    def test_always_below_target_grows_stepsize(self, monkeypatch, rng):
-        monkeypatch.setattr(tuning, "_probe_run", _constant_rate_probe(0.0))
-        t = discrete_gaussian(2, 2, 2.0, 0.3)
-        trace = target_acceptance(
-            "pavg", t, t.W_true, delta0=0.5, alpha_target=0.7, rng=rng, a=0.6, M=6, probe_len=10
-        )
-        deltas = np.array(trace.deltas)
-        assert np.all(np.diff(deltas) > 0)
-        for m in range(6):
-            assert deltas[m + 1] / deltas[m] == pytest.approx(np.exp((1 + m) ** -0.6), rel=1e-12)
-
-    def test_always_above_target_shrinks_stepsize(self, monkeypatch, rng):
-        monkeypatch.setattr(tuning, "_probe_run", _constant_rate_probe(1.0))
-        t = discrete_gaussian(2, 2, 2.0, 0.3)
-        trace = target_acceptance(
-            "pavg", t, t.W_true, delta0=0.5, alpha_target=0.7, rng=rng, a=0.6, M=6, probe_len=10
-        )
-        deltas = np.array(trace.deltas)
-        assert np.all(np.diff(deltas) < 0)
-        for m in range(6):
-            assert deltas[m + 1] / deltas[m] == pytest.approx(np.exp(-((1 + m) ** -0.6)), rel=1e-12)
-
-    def test_exact_rate_leaves_stepsize(self, monkeypatch, rng):
-        monkeypatch.setattr(tuning, "_probe_run", _constant_rate_probe(0.7))
-        t = discrete_gaussian(2, 2, 2.0, 0.3)
-        trace = target_acceptance(
-            "pavg", t, t.W_true, delta0=0.5, alpha_target=0.7, rng=rng, M=4, probe_len=10
-        )
-        assert trace.deltas == [0.5] * 5
-        assert trace.chosen == 0.5
-
-    def test_quadratic_target_sees_rate_one(self):
-        # rejection-free probes: every stage observes rate 1, the first
-        # stepsize wins the tie
-        t = discrete_gaussian(2, 3, 2.0, 0.5)
-        rng = np.random.default_rng(7)
-        trace = target_acceptance(
-            "pavg", t, t.W_true, delta0=0.4, alpha_target=0.8, rng=rng, M=4, probe_len=50
-        )
-        assert all(r == 1.0 for r in trace.rates)
-        assert trace.chosen == trace.deltas[0]
-
-    def test_parameter_validation(self, rng):
-        t = discrete_gaussian(2, 2, 2.0, 0.3)
-        with pytest.raises(ValueError):
-            target_acceptance("pavg", t, t.W_true, -1.0, 0.7, rng)
-        with pytest.raises(ValueError):
-            target_acceptance("pavg", t, t.W_true, 0.5, 1.5, rng)
+from latmc.tuning import staged_grid_search
 
 
 class TestStagedGridSearch:
@@ -91,6 +33,14 @@ class TestStagedGridSearch:
         with pytest.raises(ConfigError):
             staged_grid_search("vpdhams", t, self._builder(t), {"delta": []}, 2, 50, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("chains, length", [(1, 50), (2, 1)])
+    def test_single_chain_or_step_probes_rejected(self, chains, length):
+        # the energy ESS needs two chains of two draws; no probe runs
+        t = discrete_gaussian(2, 3, 2.0, 0.5)
+        with pytest.raises(ConfigError, match="at least 2 chains of 2 steps"):
+            staged_grid_search("vpdhams", t, self._builder(t), {"delta": [0.25]}, chains, length,
+                               np.random.default_rng(0))
+
     def test_deterministic_given_seed(self):
         t = discrete_gaussian(2, 3, 2.0, 0.5)
         grids = {"delta": [0.1, 0.25, 0.6], "phi": [0.0, 0.4]}
@@ -98,7 +48,7 @@ class TestStagedGridSearch:
         for _ in range(2):
             rng = np.random.default_rng(123)
             cfg, trace = staged_grid_search("vpdhams", t, self._builder(t), grids, 3, 120, rng)
-            picks.append((cfg.delta, cfg.phi, tuple(trace.rates)))
+            picks.append((cfg.delta, cfg.phi, tuple(trace["rates"])))
         assert picks[0] == picks[1]
 
     def test_matches_exhaustive_probe_oracle(self):
@@ -179,10 +129,10 @@ class TestStagedGridSearch:
         assert cfg == SamplerConfig(epsilon=0.7, delta=0.1, phi=0.3, beta=0.25, r=2)
         assert [(c.delta, c.phi) for c in probed] == [(0.1, 0.0), (0.2, 0.0), (0.1, 0.0), (0.1, 0.3)]
         assert all((c.epsilon, c.beta, c.r) == (0.7, 0.25, 2) for c in probed)
-        assert list(trace.ess_table) == [
+        assert list(trace["ess_table"]) == [
             "stage2:epsilon=0.7,delta=0.1,phi=0.0,beta=0.25,r=2",
             "stage2:epsilon=0.7,delta=0.2,phi=0.0,beta=0.25,r=2",
             "stage3:epsilon=0.7,delta=0.1,phi=0.0,beta=0.25,r=2",
             "stage3:epsilon=0.7,delta=0.1,phi=0.3,beta=0.25,r=2",
         ]
-        assert trace.deltas == [0.1, 0.2] and trace.chosen == 0.1
+        assert trace["deltas"] == [0.1, 0.2] and trace["rates"] == [0.7, 0.7] and trace["chosen"] == 0.1
