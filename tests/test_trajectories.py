@@ -1,0 +1,96 @@
+"""Trajectory fingerprints: sha256 digests of ``run_chains`` lattice indices
+and accept flags, pinned so that a change meant to keep every trajectory (a
+new row layout, a faster reduction) fails here when it does not.
+
+Each shape runs every kernel that applies to it, and opdhams at four betas
+(the whole-period, reflection and two fractional laws), with the config's
+own sampler block, calibration, seed and chain streams, for a few steps.
+Energies are left out: their last bits may follow the platform's vectorised
+``exp``/``cos``, while indices and flags do not in practice.
+"""
+
+import hashlib
+from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from latmc.harness import ExperimentConfig, build_preconditioner, build_target, chain_rng
+from latmc.samplers import run_chains
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# shape -> (config, steps).  Proposal rows have K values over chains x d rows:
+# gauss full 21 over 100 x 8, gauss desk 11 over 20 x 4, clock desk 4 over 10 x 9.
+SHAPES = {
+    "gauss_full": ("discrete_gaussian_full", 40),
+    "gauss_desk": ("discrete_gaussian_desk", 150),
+    "clock_desk": ("clock_potts_desk", 150),
+}
+RUNS = [("metropolis", None), ("git_gibbs", None), ("pavg", None), ("vpdhams", None),
+        ("opdhams", 1.0), ("opdhams", 0.0), ("opdhams", 0.3), ("opdhams", -0.9)]
+
+DIGESTS = {
+    "gauss_full-metropolis": "de049f7bef4020b7d8cd8d42c2be31462fff507d768e3b81f9129c2cdaa8a034",
+    "gauss_full-git_gibbs": "3f2b7f53853514dba73941b1d79b408b59a282649eddbce1754d65e0c1da9c58",
+    "gauss_full-pavg": "3f2b7f53853514dba73941b1d79b408b59a282649eddbce1754d65e0c1da9c58",
+    "gauss_full-vpdhams": "d8cebe6c4ab2a368763a7186a033a8b0b1a4e12d5c1032a24b18e3fdca877e0a",
+    "gauss_full-opdhams-beta1": "2c4bda6bf83cb3c383ae4425c2b730cdd0b57f3cc6dcf3ee0f7d0ae75689c8f8",
+    "gauss_full-opdhams-beta0": "c3bea52cf33b991cf7585e492a730dc5c7bfdda64709ea52115d4ec588525e9c",
+    "gauss_full-opdhams-beta0.3": "796f26b86015faf96f410c40179e8216e467c9ab58e14ee94693cc914606cc24",
+    "gauss_full-opdhams-beta-0.9": "ebe01c75e64b5eb373104bd6c38ff99b5b929414d52c651d2f88f017a029dee2",
+    "gauss_desk-metropolis": "dfb193b3134c7675e4077d63de34d2e8d2631ecee9d4ccf969f1c0022f127e39",
+    "gauss_desk-git_gibbs": "79f83953105df6361af3bcb671a3ffd31f1af2655d5f77a1aee0f46f36b1059e",
+    "gauss_desk-pavg": "79f83953105df6361af3bcb671a3ffd31f1af2655d5f77a1aee0f46f36b1059e",
+    "gauss_desk-vpdhams": "8fed3510de37f7670a29fb5903b0bb97c4ba06e1448b48d13545670e474d4395",
+    "gauss_desk-opdhams-beta1": "9c38dccf6557f433fc111b1aaa71b4dceb26e4d34d39bf4d352689e5b1ee81c9",
+    "gauss_desk-opdhams-beta0": "20f04d644c24b4f4b413d3a3e381b5b15f836edb676e96e45edfc74f6921b993",
+    "gauss_desk-opdhams-beta0.3": "541ea52123216c8789fbfcaa4452a12c18ea540fb2ff969b5dd614a95acc4e46",
+    "gauss_desk-opdhams-beta-0.9": "7bf0031f464cbaa1967cdbe5578176112e232fd018a6a02f151c068c74e2fda5",
+    "clock_desk-metropolis": "4f2edab9870518b93b2c242e8798d1677dd71eb7a663ac9af914ba6d73d649e9",
+    "clock_desk-pavg": "15897494b175a5ade0997997b4af19e7a4153b3b03f1372eedc875d7e5901eca",
+    "clock_desk-vpdhams": "2130b8978726bb8c62e1332c807a3e1ce30734c0992d439305c0ec153166f3c6",
+    "clock_desk-opdhams-beta1": "d336ef08e4382b348d5c6dd196beadf0426790f0449df70f4bdc9ff0406dac47",
+    "clock_desk-opdhams-beta0": "70c2653b42e17ef515cb93bafacdcf1b941202ef65e91f69acf53c9499c15bb8",
+    "clock_desk-opdhams-beta0.3": "64ecb68850161f8081a6126cc8281696b5e912cc0f8a6347b2a5eaed6f84de6b",
+    "clock_desk-opdhams-beta-0.9": "2a8d33fcda39978a95b905d5863223fe0aee859906f9070820c8bfc7dd968d4a",
+}
+
+
+@lru_cache(maxsize=None)
+def _setup(shape):
+    """Config, target and configured-stepsize preconditioner of a shape."""
+    config = ExperimentConfig.from_yaml(CONFIGS / f"{SHAPES[shape][0]}.yaml")
+    target = build_target(config.target)
+    return config, target, build_preconditioner(config, target)[0]
+
+
+def _fingerprint(shape, kernel, beta):
+    config, target, pre = _setup(shape)
+    sampler = config.sampler if beta is None else replace(config.sampler, beta=beta)
+    rngs = [chain_rng(config.base_seed, i) for i in range(config.chains)]
+    lattice = target.lattice
+    init = np.stack([g.integers(0, lattice.n_values, size=lattice.dim) for g in rngs])
+    pre = None if kernel == "metropolis" else pre
+    result = run_chains(kernel, target, pre, sampler, SHAPES[shape][1], rngs, init)
+    digest = hashlib.sha256(result.indices.astype("<i4").tobytes())
+    digest.update(result.accepted.astype(np.uint8).tobytes())
+    return digest.hexdigest()
+
+
+def _case_id(shape, kernel, beta):
+    return f"{shape}-{kernel}" + ("" if beta is None else f"-beta{beta:g}")
+
+
+CASES = [
+    pytest.param(shape, kernel, beta, id=_case_id(shape, kernel, beta))
+    for shape in SHAPES for kernel, beta in RUNS
+    if not (kernel == "git_gibbs" and shape == "clock_desk")  # git_gibbs needs a quadratic target
+]
+
+
+@pytest.mark.parametrize("shape, kernel, beta", CASES)
+def test_trajectory_fingerprint(shape, kernel, beta):
+    assert _fingerprint(shape, kernel, beta) == DIGESTS[_case_id(shape, kernel, beta)]
