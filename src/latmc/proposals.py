@@ -7,7 +7,8 @@ transition log-probabilities stay finite even for underflowed values.
 The row functions are batched over any leading axes (chains, coordinates).
 Rows are indexed ``rows[..., i, k]``, value ``k`` last, but stored value-major:
 they view C-contiguous ``(K, ..., d)`` arrays, and row operations reduce whole
-value planes over axis 0, never a short trailing axis.  The over-relaxation
+value planes over axis 0, never a short trailing axis; a row sum adds the
+planes in index order.  The over-relaxation
 law is computed once, in closed form: a difference of window means of the
 landing measure over the arc of reflection starts.
 """
@@ -32,25 +33,6 @@ def _rows(planes):
     return planes.transpose((*range(1, planes.ndim), 0))
 
 
-def _value_sums(planes):
-    """Sum over the value axis with the bits of numpy's pairwise sum over a contiguous axis:
-    planes added in turn below 8 values, else a transposed copy up to 128 rows, else the pairs."""
-    n = planes.shape[0]
-    if n < 8:
-        return planes.sum(axis=0)
-    if planes[0].size <= 128:
-        return np.ascontiguousarray(_rows(planes)).sum(axis=-1)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _value_sums(planes[:half]) + _value_sums(planes[half:])
-    body = n - n % 8
-    r = planes[:body].reshape(body // 8, -1).sum(axis=0).reshape(8, *planes.shape[1:])
-    total = r[0] + r[1] + (r[2] + r[3]) + (r[4] + r[5] + (r[6] + r[7]))
-    for plane in planes[body:]:
-        total += plane
-    return total
-
-
 def proposal_log_rows(grad, s_ref, z, pre: Preconditioner, values) -> np.ndarray:
     """Log-probability rows of the product proposal induced by a quadratic
     surrogate around ``s_ref``, clamped at ``LOG_FLOOR``:
@@ -69,7 +51,7 @@ def proposal_log_rows(grad, s_ref, z, pre: Preconditioner, values) -> np.ndarray
     peak = logits.max(axis=0)
     weights = logits - peak
     np.exp(weights, out=weights)
-    logits -= np.log(_value_sums(weights)) + peak
+    logits -= np.log(weights.sum(axis=0)) + peak
     return _rows(np.maximum(logits, LOG_FLOOR, out=logits))
 
 

@@ -276,7 +276,11 @@ def trailing_log_rows(grad, s_ref, z, pre, values):
     coeff = coeff + z @ pre.W_shifted
     logits = -0.5 * pre.lam * values**2 + coeff[..., None] * values
     peak = logits.max(axis=-1)
-    log_norms = np.log(np.exp(logits - peak[..., None]).sum(axis=-1)) + peak
+    weights = np.exp(logits - peak[..., None])
+    total = weights[..., 0]
+    for k in range(1, weights.shape[-1]):  # values summed in index order
+        total = total + weights[..., k]
+    log_norms = np.log(total) + peak
     return np.maximum(logits - log_norms[..., None], LOG_FLOOR)
 
 
@@ -303,8 +307,9 @@ def trailing_over_relax(cdf, x0, beta, u0, u_tilde):
 
 class TestValueMajorRows:
     # (leading shape, K): the clock, gauss, desk and one-chain shapes, stacked
-    # forward/backward rows, and value counts around numpy's pairwise blocks,
-    # each with up to 128 rows and with more
+    # forward/backward rows, and value counts around numpy's pairwise-sum
+    # blocks (8 values, 128 elements), which the index-order row sum must not
+    # follow, each with up to 128 rows and with more
     SHAPES = [
         ((50, 400), 7), ((100, 8), 21), ((2, 100, 8), 21), ((20, 4), 11), ((10, 9), 4),
         ((8,), 21), ((1, 8), 21), ((3,), 1), ((5, 3), 8), ((5, 3), 9), ((4, 2), 17),
