@@ -26,7 +26,7 @@ from .precondition import (
     first_order_preconditioner,
     lambda_shift,
 )
-from .samplers import KERNELS, SamplerConfig, run_chains
+from .samplers import GRADIENT_KERNELS, KERNELS, SamplerConfig, run_chains
 from .targets import (
     TargetModel,
     clock_potts,
@@ -42,7 +42,7 @@ from .tuning import staged_grid_search
 FITTED_METHODS = ("gradient_diff", "energy_diff")
 CALIBRATION_METHODS = FITTED_METHODS + ("exact_quadratic", "none")
 # Kernels that run with the W = 0 burn-in preconditioner; git_gibbs needs the target's own W.
-BURN_IN_KERNELS = tuple(k for k in KERNELS if k != "git_gibbs")
+BURN_IN_KERNELS = ("metropolis", *GRADIENT_KERNELS)
 CONFIG_KEYS = frozenset({
     "target", "kernel", "sampler", "calibration", "chains", "length", "burn_in", "base_seed",
     "output_dir", "checkpoints", "tv_coords", "workers", "cond_threshold", "tune",
@@ -297,13 +297,12 @@ def _run_chain_block(config: ExperimentConfig, pre, chain_lo: int, chain_hi: int
 
 def _run_all_chains(config: ExperimentConfig, pre):
     if config.workers == 1:
-        blocks = [_run_chain_block(config, pre, 0, config.chains)]
-    else:
-        bounds = np.linspace(0, config.chains, config.workers + 1).astype(int)
-        spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [pool.submit(_run_chain_block, config, pre, lo, hi) for lo, hi in spans]
-            blocks = [f.result() for f in futures]
+        return _run_chain_block(config, pre, 0, config.chains)
+    bounds = np.linspace(0, config.chains, config.workers + 1).astype(int)
+    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        futures = [pool.submit(_run_chain_block, config, pre, lo, hi) for lo, hi in spans]
+        blocks = [f.result() for f in futures]
     return tuple(np.concatenate(parts, axis=0) for parts in zip(*blocks))
 
 
@@ -445,7 +444,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         "config": config.raw,
         "kernel": config.kernel,
         "first_order_specialization": config.calibration["method"] == "none"
-        and config.kernel in ("pavg", "vpdhams", "opdhams"),
+        and config.kernel in GRADIENT_KERNELS,
         "calibration": calib_info,
         "preconditioner": None if pre is None else pre.to_dict(),
         "lattice_values": values.tolist(),
@@ -464,15 +463,19 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
 def read_chain_csv(path):
     """Read one chain CSV back into (draws, energies, accepted), checking that
-    each row has the header's field count, every cell is a number and every
-    accept flag is 0 or 1."""
+    each row has the header's field count, every cell is a finite number and
+    every accept flag is 0 or 1."""
     try:
         with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns of a file with no rows
-            width = len(fh.readline().split(","))
+            header = fh.readline().rstrip("\r\n").split(",")
             table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if table.shape[1] != width:
-            raise ValueError(f"{table.shape[1]} fields, the header has {width}")
+        if table.shape[1] != len(header):
+            raise ValueError(f"{table.shape[1]} fields, the header has {len(header)}")
+        bad = np.argwhere(~np.isfinite(table))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"data row {row + 1} holds a non-finite {header[col]} cell")
         accepted = table[:, -1]
         if not np.isin(accepted, (0, 1)).all():
             raise ValueError("accept flags must be 0 or 1")
@@ -523,8 +526,8 @@ def recompute_metrics(run_dir, out_dir=None) -> Path:
 def tune_command(config: ExperimentConfig) -> Path:
     """Staged grid search for the configured kernel; writes the chosen
     sampler parameters and the full tuning trace as JSON."""
-    if config.kernel not in ("pavg", "vpdhams", "opdhams"):
-        raise ConfigError("tuning applies to the pavg/vpdhams/opdhams kernels")
+    if config.kernel not in GRADIENT_KERNELS:
+        raise ConfigError(f"tuning applies to the {'/'.join(GRADIENT_KERNELS)} kernels")
     tune = config.tune
     if not tune["delta_grid"]:
         raise ConfigError("tune.delta_grid must list candidate stepsizes")

@@ -61,7 +61,10 @@ from .proposals import (
 )
 from .targets import TargetModel
 
-KERNELS = ("metropolis", "git_gibbs", "pavg", "vpdhams", "opdhams")
+# The gradient kernels accept or reject a draw from the quadratic surrogate at
+# any W; with W = 0 they are first-order specializations.
+GRADIENT_KERNELS = ("pavg", "vpdhams", "opdhams")
+KERNELS = ("metropolis", "git_gibbs", *GRADIENT_KERNELS)
 MOMENTUM_KERNELS = ("vpdhams", "opdhams")
 
 # Doubles per run_chains noise block (128 KB); it bounds memory only, since a

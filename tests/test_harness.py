@@ -357,6 +357,15 @@ class TestRunExperiment:
         assert (tmp_path / "redo" / "moments.csv").read_text().count("moment_bias2") == 3
 
 
+def _set_energy_cell(text, cell):
+    """Chain CSV text with the energy of its fifth data row replaced by ``cell``."""
+    lines = text.splitlines()
+    fields = lines[5].split(",")
+    fields[-2] = cell
+    lines[5] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 class TestMalformedRunDirectory:
     @pytest.mark.parametrize("keep", [
         lambda text: "\n".join(text.splitlines()[:100]) + "\n",
@@ -365,8 +374,10 @@ class TestMalformedRunDirectory:
         lambda text: text[: len(text) - 2] + "2\n",
         lambda text: text.replace("\n", "\nx", 1),
         lambda text: text.replace("\n", ",0\n").replace(",0\n", "\n", 1),
+        lambda text: _set_energy_cell(text, "nan"),
+        lambda text: _set_energy_cell(text, "-inf"),
     ], ids=["rows_missing", "cut_inside_row", "header_only", "accept_flag", "text_cell",
-            "extra_field"])
+            "extra_field", "nan_energy", "inf_energy"])
     def test_truncated_chain_csv(self, tmp_path, capsys, keep):
         out = run_experiment(base_config(tmp_path))
         path = out / "chains" / "chain_0001.csv"
