@@ -8,9 +8,9 @@ The row functions are batched over any leading axes (chains, coordinates).
 Rows are indexed ``rows[..., i, k]``, value ``k`` last, but stored value-major:
 they view C-contiguous ``(K, ..., d)`` arrays, and row operations reduce whole
 value planes over axis 0, never a short trailing axis; a row sum adds the
-planes in index order.  The over-relaxation
-law is computed once, in closed form: a difference of window means of the
-landing measure over the arc of reflection starts.
+planes in index order.  The over-relaxation law is computed once, in closed
+form: a difference of window means of the landing measure over the arc of
+reflection starts.
 """
 
 from __future__ import annotations
