@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, LatmcError, NumericGuardError
 from .harness import (
@@ -61,11 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str, output_override) -> ExperimentConfig:
     config = ExperimentConfig.from_yaml(path)
-    if output_override is not None:
-        raw = dict(config.raw)
-        raw["output_dir"] = output_override
-        config = ExperimentConfig.from_dict(raw)
-    return config
+    if output_override is None:
+        return config
+    return replace(config, output_dir=output_override, raw=dict(config.raw, output_dir=output_override))
 
 
 def main(argv=None) -> int:

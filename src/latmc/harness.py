@@ -176,6 +176,9 @@ class ExperimentConfig:
             )
         if kernel == "git_gibbs" and method != "exact_quadratic":
             raise ConfigError(f"kernel git_gibbs needs calibration.method exact_quadratic, got {method!r}")
+        built = build_target(target)  # checks the target block; the config keeps the mapping
+        if method == "exact_quadratic" and built.quadratic_coeff is None:
+            raise ConfigError("calibration.method exact_quadratic needs a target with an exact quadratic W")
         raw = dict(payload, calibration=calibration)
         calibration = {"burn_in_kernel": "metropolis", "burn_in_steps": 500, "burn_in_r": max(sampler.r, 2),
                        **calibration}
@@ -184,9 +187,10 @@ class ExperimentConfig:
                               f"got {calibration['burn_in_kernel']!r}")
         if any(c > length for c in checkpoints):
             raise ConfigError("checkpoints must lie in [1, length]")
+        d = built.lattice.dim
         for coords in tv_coords:
-            if not coords or len(set(coords)) < len(coords):
-                raise ConfigError(f"tv_coords entry {list(coords)} needs distinct nonnegative axes")
+            if not coords or len(set(coords)) < len(coords) or max(coords) >= d:
+                raise ConfigError(f"tv_coords entry {list(coords)} needs distinct axes inside [0, {d})")
         _reject_unknown_keys(tune, TUNE_KEYS, "tune")
         tune = {"delta_grid": [], "phi_grid": [0.0], "probe_chains": 4, "probe_length": 500, **tune}
         for key in ("probe_chains", "probe_length"):
@@ -226,14 +230,6 @@ def _reject_unknown_keys(mapping: dict, known, where: str):
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(str, unknown))}")
 
 
-def _check_tv_coords(config: ExperimentConfig, target: TargetModel):
-    """Reject ``tv_coords`` axes beyond the target's dimension."""
-    d = target.lattice.dim
-    for coords in config.tv_coords:
-        if max(coords) >= d:
-            raise ConfigError(f"tv_coords entry {list(coords)} has an axis outside [0, {d})")
-
-
 def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_csv=None):
     """Resolve the calibration block into a map from stepsize to
     preconditioner and the record written to the manifest and to
@@ -250,8 +246,6 @@ def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_c
         info["label"] = "first-order specialization (W = 0)"
         return (lambda delta: first_order_preconditioner(lattice.dim, delta, threshold)), info
     if method == "exact_quadratic":
-        if target.quadratic_coeff is None:
-            raise ConfigError("calibration.method exact_quadratic needs a target with an exact quadratic W")
         return (lambda delta: exact_quadratic_preconditioner(target, delta, threshold)), info
     if chains_csv is not None:
         info["source"] = str(chains_csv)
@@ -429,10 +423,13 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """Calibrate, run all chains, and write chain CSVs, metric CSVs, and the
     reproducibility manifest into the output directory."""
     target = build_target(config.target)
-    _check_tv_coords(config, target)
     pre, calib_info = build_preconditioner(config, target)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's chains and metric tables would outlive a rerun that writes fewer
+    for stale in [*out_dir.glob(f"chains/{CHAIN_CSV_PREFIX}*.csv"),
+                  *(out_dir / name for name in ("metrics.csv", "tv.csv", "moments.csv"))]:
+        stale.unlink(missing_ok=True)
 
     indices, energies, accepted = _run_all_chains(config, pre)
     values = target.lattice.values
@@ -479,7 +476,7 @@ def read_chain_csv(path):
         accepted = table[:, -1]
         if not np.isin(accepted, (0, 1)).all():
             raise ValueError("accept flags must be 0 or 1")
-    except (ValueError, UserWarning) as exc:
+    except (FileNotFoundError, ValueError, UserWarning) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return table[:, 2:-2], table[:, -2], accepted == 1
 
@@ -505,20 +502,21 @@ def recompute_metrics(run_dir, out_dir=None) -> Path:
     directory."""
     run_dir = Path(run_dir)
     out_dir = run_dir if out_dir is None else Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
+    path = run_dir / "manifest.json"
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (FileNotFoundError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"{path} must hold a mapping with a 'config' mapping")
     config = ExperimentConfig.from_dict(manifest["config"])
     target = build_target(config.target)
-    _check_tv_coords(config, target)
-    chain_paths = sorted((run_dir / "chains").glob(f"{CHAIN_CSV_PREFIX}*.csv"))
-    if len(chain_paths) != config.chains:
-        raise ConfigError(
-            f"run directory holds {len(chain_paths)} chains, config expects {config.chains}"
-        )
     rows = config.burn_in + config.length
-    chains = [_read_chain_indices(path, target.lattice, rows) for path in chain_paths]
+    chains = [_read_chain_indices(run_dir / "chains" / f"{CHAIN_CSV_PREFIX}{c:04d}.csv", target.lattice, rows)
+              for c in range(config.chains)]
     indices, energies, accepted = (np.stack(parts) for parts in zip(*chains))
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_metrics(out_dir, config, target, indices, energies, accepted, moments=True)
     return out_dir
 

@@ -283,12 +283,12 @@ def clock_potts(side: int, q: int, coupling: float = 1.0) -> ClockPottsTarget:
     return ClockPottsTarget(side, q, coupling)
 
 
-def enumerate_joint(target: TargetModel, coords=None, budget: int = ENUMERATION_BUDGET):
-    """Exact pmf table of the requested coordinate tuple.
+def enumerate_joint(target: TargetModel, budget: int = ENUMERATION_BUDGET):
+    """Exact pmf table of the whole lattice, one axis per coordinate.
 
-    Sums exp(f(s) - max f) over the whole lattice, then marginalizes onto
-    ``coords`` (all coordinates when None).  Raises
-    :class:`EnumerationBudgetError` when K^d exceeds ``budget``.
+    Normalizes exp(f(s) - max f) over every lattice state (:func:`marginal`
+    sums it onto a coordinate tuple).  Raises :class:`EnumerationBudgetError`
+    when K^d exceeds ``budget``.
     """
     lattice = target.lattice
     K, d = lattice.n_values, lattice.dim
@@ -297,14 +297,6 @@ def enumerate_joint(target: TargetModel, coords=None, budget: int = ENUMERATION_
         raise EnumerationBudgetError(
             f"enumeration of {K}^{d} = {total} states exceeds budget {budget}"
         )
-    if coords is None:
-        coords = tuple(range(d))
-    coords = tuple(int(c) for c in coords)
-    if len(coords) == 0:
-        raise ValueError("coords must name at least one coordinate")
-    if len(set(coords)) != len(coords) or not all(0 <= c < d for c in coords):
-        raise ValueError("coords must be distinct coordinate indices")
-
     shape = (K,) * d
     energies = np.empty(total)
     chunk = 1 << 15
@@ -313,7 +305,7 @@ def enumerate_joint(target: TargetModel, coords=None, budget: int = ENUMERATION_
         idx = np.unravel_index(np.arange(start, stop), shape)
         energies[start:stop] = target.evaluate_indices(np.stack(idx, axis=1), grad=False)[1]
 
-    table = marginal(np.exp(energies - energies.max()).reshape(shape), coords)
+    table = np.exp(energies - energies.max()).reshape(shape)
     return table / table.sum()
 
 

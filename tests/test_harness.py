@@ -71,14 +71,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tv_coords"):
             base_config(tmp_path, tv_coords=coords)
 
-    def test_out_of_range_tv_coords_rejected_before_calibration(self, tmp_path, monkeypatch):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("calibration started")
+    def test_out_of_range_tv_coords_rejected_before_calibration(self, tmp_path):
+        # the axes are checked against the target's d at load, before any command starts
+        with pytest.raises(ConfigError, match=r"tv_coords entry \[0, 2\] needs distinct axes inside \[0, 2\)"):
+            base_config(tmp_path, tv_coords=[[0, 2]])
 
-        monkeypatch.setattr(harness, "build_preconditioner", must_not_run)
-        cfg = base_config(tmp_path, tv_coords=[[0, 2]])
-        with pytest.raises(ConfigError, match=r"outside \[0, 2\)"):
-            run_experiment(cfg)
+    @pytest.mark.parametrize("command", ["run", "tune", "calibrate"])
+    @pytest.mark.parametrize("override, named", [
+        ({"tv_coords": [[0, 9]]}, "tv_coords entry [0, 9] needs distinct axes inside [0, 2)"),
+        # rejection-free only with the target's own W, whichever kernel runs
+        ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2}, "kernel": "metropolis"},
+         "calibration.method exact_quadratic needs a target with an exact quadratic W"),
+        ({"target": {"name": "discrete_gaussian", "d": 2, "k": 2, "sigma": -1.0, "rho": 0.5}},
+         "sigma must be positive"),
+    ], ids=["tv_coords_out_of_range", "metropolis_exact_quadratic_without_w", "target_value"])
+    def test_every_command_rejects_at_load(self, tmp_path, capsys, command, override, named):
+        tune = {"delta_grid": [0.25], "probe_chains": 2, "probe_length": 50}
+        payload = dict(base_config(tmp_path, tune=tune).raw, **override)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        assert cli_main([command, "-c", str(path)]) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_solver_typo_rejected_before_burn_in(self, tmp_path, monkeypatch):
@@ -341,6 +354,19 @@ class TestRunExperiment:
         moments = (redo / "moments.csv").read_text().splitlines()
         assert any(row.startswith("moment_bias2,mean") for row in moments)
 
+    def test_rerun_with_fewer_chains_replaces_the_earlier_run(self, tmp_path):
+        out = run_experiment(base_config(tmp_path))
+        recompute_metrics(out)  # moments.csv next to the run's own tables
+        (out / "notes.txt").write_text("kept")
+        run_experiment(base_config(tmp_path, chains=2, tv_coords=[]))
+        assert sorted(p.name for p in (out / "chains").iterdir()) == ["chain_0000.csv", "chain_0001.csv"]
+        assert not (out / "tv.csv").exists() and not (out / "moments.csv").exists()
+        assert (out / "notes.txt").read_text() == "kept"
+        metrics = (out / "metrics.csv").read_bytes()
+        recompute_metrics(out, tmp_path / "redo")
+        assert (tmp_path / "redo" / "metrics.csv").read_bytes() == metrics
+        assert not (tmp_path / "redo" / "tv.csv").exists()
+
     def test_metrics_enumerate_the_joint_once(self, tmp_path, monkeypatch):
         out = run_experiment(base_config(tmp_path))
         calls = []
@@ -385,6 +411,30 @@ class TestMalformedRunDirectory:
         with pytest.raises(ConfigError, match="chain_0001.csv"):
             recompute_metrics(out, tmp_path / "redo")
         assert cli_main(["metrics", str(out), "-o", str(tmp_path / "redo")]) == 2
+
+    def test_missing_chain_csv(self, tmp_path, capsys):
+        out = run_experiment(base_config(tmp_path))
+        (out / "chains" / "chain_0002.csv").unlink()
+        assert cli_main(["metrics", str(out), "-o", str(tmp_path / "redo")]) == 2
+        assert "chain_0002.csv" in capsys.readouterr().err
+        assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
+        lambda text: json.dumps([json.loads(text)]),
+        None,
+    ], ids=["truncated", "no_config", "not_a_mapping", "missing"])
+    def test_broken_manifest(self, tmp_path, capsys, damage):
+        out = run_experiment(base_config(tmp_path))
+        path = out / "manifest.json"
+        if damage is None:
+            path.unlink()
+        else:
+            path.write_text(damage(path.read_text()))
+        assert cli_main(["metrics", str(out), "-o", str(tmp_path / "redo")]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (tmp_path / "redo").exists()
 
     def test_state_value_off_the_lattice(self, tmp_path):
         out = run_experiment(base_config(tmp_path))
@@ -521,6 +571,8 @@ class TestCli:
         other = tmp_path / "elsewhere"
         assert cli_main(["run", "-c", str(path), "-o", str(other)]) == 0
         assert (other / "metrics.csv").exists()
+        assert json.loads((other / "manifest.json").read_text())["config"]["output_dir"] == str(other)
+        assert not Path(cfg.output_dir).exists()
 
 
 def test_chain_rng_streams_are_distinct():
