@@ -15,6 +15,8 @@ reflection starts.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InvalidStateError, NumericGuardError
@@ -42,36 +44,47 @@ def proposal_log_rows(grad, s_ref, z, pre: Preconditioner, values) -> np.ndarray
     Inputs are ``(d,)`` or ``(m, d)``; a non-finite coefficient raises
     :class:`NumericGuardError` naming the first offending chain.
     """
+    logits = _logits(grad, s_ref, z, pre, values)
+    peak = logits.max(axis=0)
+    weights = logits - peak
+    logits -= np.log(np.exp(weights, out=weights).sum(axis=0)) + peak
+    return _rows(np.maximum(logits, LOG_FLOOR, out=logits))
+
+
+def proposal_log_entries(grad, s_ref, z, pre: Preconditioner, values, idx) -> np.ndarray:
+    """Entries ``idx`` of :func:`proposal_log_rows`, with the same bits: the logits
+    are gathered first, and no row table is normalised or floored."""
+    logits = _logits(grad, s_ref, z, pre, values)
+    entries, peak = row_entries(_rows(logits), idx), logits.max(axis=0)
+    logits -= peak
+    return np.maximum(entries - (np.log(np.exp(logits, out=logits).sum(axis=0)) + peak), LOG_FLOOR)
+
+
+def _logits(grad, s_ref, z, pre: Preconditioner, values):
+    """Value planes ``(K, ..., d)`` of the logits of :func:`proposal_log_rows`."""
     coeff = grad - pre.times(s_ref, "W") + pre.times(z, "W_shifted")
     finite = np.isfinite(coeff).reshape(-1, coeff.shape[-1]).all(axis=1)
     if not finite.all():
         raise NumericGuardError("proposal logits", int(np.argmin(finite)))
     column = (-1,) + (1,) * coeff.ndim
-    logits = (-0.5 * pre.lam * values**2).reshape(column) + coeff * values.reshape(column)
-    peak = logits.max(axis=0)
-    weights = logits - peak
-    np.exp(weights, out=weights)
-    logits -= np.log(weights.sum(axis=0)) + peak
-    return _rows(np.maximum(logits, LOG_FLOOR, out=logits))
+    logits = coeff * values.reshape(column)
+    logits += (-0.5 * pre.lam * values**2).reshape(column)
+    return logits
 
 
-def cdf_rows(pmf_rows: np.ndarray) -> np.ndarray:
-    """Monotone CDF rows: running sums (of planes past 128 rows) clipped at 1, the last pinned at 1."""
+def cdf_rows(pmf_rows: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """Monotone CDF rows: running sums (of planes past 128 rows) clipped at 1, the
+    last pinned at 1; in a new array, or over ``pmf_rows`` when ``in_place``."""
     pmf = _planes(pmf_rows)
     if np.size(pmf[0]) <= 128:
-        cdf = np.cumsum(pmf, axis=0)
+        cdf = np.cumsum(pmf, axis=0, out=pmf if in_place else None)
     else:
-        cdf = pmf.copy()
+        cdf = pmf if in_place else pmf.copy()
         for prev, cur in zip(cdf, cdf[1:]):
             np.add(prev, cur, out=cur)
     np.minimum(cdf, 1.0, out=cdf)
     cdf[-1] = 1.0
     return _rows(cdf)
-
-
-def stack_rows(rows_seq) -> np.ndarray:
-    """Rows stacked on a new leading axis, stored value-major."""
-    return _rows(np.stack([_planes(rows) for rows in rows_seq], axis=1))
 
 
 def sample_rows_inverse_cdf(pmf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -108,14 +121,22 @@ def over_relax_rows_from_cdf(cdf, x0_indices, beta, u0, u_tilde) -> np.ndarray:
     a w1 that rounds to 1 is 0 mod 1 and lands on index 0."""
     lower, upper = _cdf_interval_rows(cdf, np.asarray(x0_indices))
     w0 = lower + (upper - lower) * u0
-    w1 = (-w0 + beta * u_tilde) % 1.0
+    w1 = -w0 + beta * u_tilde
+    w1 -= np.floor(w1)  # x - floor(x) is x % 1.0 to the bit for finite x, and faster
     return np.where(w1 < 1.0, (_planes(cdf)[:-1] <= w1).sum(axis=0), 0)
 
 
 def row_entries(rows, idx) -> np.ndarray:
-    """Entry ``idx[..., j]`` of each row ``rows[..., j, :]``, gathered by
-    flat position in the value-major layout (``idx`` has the rows' leading shape)."""
-    return _planes(rows).reshape(-1)[idx * idx.size + np.arange(idx.size).reshape(idx.shape)]
+    """Entry ``idx[..., j]`` of each row ``rows[..., j, :]``, gathered by flat
+    position in the value-major layout (``idx`` has the rows' leading shape):
+    ``idx`` times the plane size plus the row's place in its value plane."""
+    return _planes(rows).reshape(-1)[idx * idx.size + _places(idx.shape)]
+
+
+@lru_cache(maxsize=16)
+def _places(shape):
+    """Flat places ``0 .. n-1`` of the rows in a value plane, read-only, built once per shape."""
+    return np.broadcast_to(np.arange(np.prod(shape, dtype=int)).reshape(shape), shape)
 
 
 def _cdf_interval_rows(cdf, idx):
@@ -157,14 +178,15 @@ def _over_relax_prob_rows(cdf, x0_indices, x1_indices, beta: float) -> np.ndarra
         above = np.minimum(1.0 - np.maximum(a, 0.5), hi) - np.maximum(1.0 - np.maximum(b, 0.5), lo)
         below = np.minimum(np.minimum(b, 0.5), 1.0 - lo) - np.maximum(np.minimum(a, 0.5), 1.0 - hi)
         overlap = np.maximum(above, 0.0) + np.maximum(below, 0.0)
-        end = (-b) % 1.0  # exact unless 0 < b < 1/2, where [lo, hi) is reflected instead
+        end = -b - np.floor(-b)  # exact unless 0 < b < 1/2, where [lo, hi) is reflected instead
         hit = np.where((0.0 < b) & (b < 0.5), (1.0 - hi < b) & (b <= 1.0 - lo), (lo <= end) & (end < hi))
         return np.where(p0 > 0.0, overlap / np.where(p0 > 0.0, p0, 1.0), hit)
     span = abs(beta)
     full, rem = divmod(span, 1.0)
     prob = full * (hi - lo)
     if rem > 0.0:
-        start = np.minimum(-b, beta - b) % 1.0
+        start = np.minimum(-b, beta - b)
+        start -= np.floor(start)
         gain = _window_mean(start + rem, p0, lo, hi) - _window_mean(start, p0, lo, hi)
         # M is nondecreasing; clip the rounding that can leave an unreachable x1 just below 0
         prob = np.maximum(prob + gain, 0.0)

@@ -54,10 +54,10 @@ from .proposals import (
     cdf_rows,
     over_relax_log_prob_rows,
     over_relax_rows_from_cdf,
+    proposal_log_entries,
     proposal_log_rows,
     row_entries,
     sample_rows_inverse_cdf,
-    stack_rows,
 )
 from .targets import TargetModel
 
@@ -221,10 +221,13 @@ class _Core:
         lo = np.maximum(idx - r, 0)
         return lo, np.minimum(idx + r, self.vals.size - 1) - lo + 1
 
-    def _rows(self, at: _Points, z):
-        """Proposal rows around ``at``: log-probabilities, or CDFs for opdhams."""
+    def _rows(self, at: _Points, z, out=None):
+        """Proposal rows around ``at``: log-probabilities, or for opdhams CDFs
+        formed in place, over the log-probabilities or in the rows ``out``."""
         log_rows = proposal_log_rows(at.G, at.S, z, self.pre, self.vals)
-        return cdf_rows(np.exp(log_rows)) if self.over_relaxed else log_rows
+        if not self.over_relaxed:
+            return log_rows
+        return cdf_rows(np.exp(log_rows, out=log_rows if out is None else out), in_place=True)
 
     def forward_rows(self, cur: _Points, aux):
         """Forward proposal rows given the auxiliary point ``z`` (momentum-free
@@ -271,12 +274,16 @@ class _Core:
             kin_new = 0.5 * (pre.times(aux - new.S, "L") ** 2).sum(axis=-1)
             kin_old = 0.5 * (pre.times(aux - cur.S, "L") ** 2).sum(axis=-1)
         if self.over_relaxed:  # forward and backward terms in one batch
-            rows = stack_rows([rows_f, self._rows(new, z_b)])
+            # backward CDFs are formed in the stacked rows; the forward ones, kept
+            # contiguous for the draw's gathers, are copied there
+            rows = np.moveaxis(np.empty((self.vals.size, 2, *new.S.shape)), 0, -1)
+            rows[0] = rows_f
+            self._rows(new, z_b, rows[1])
             idx_from, idx_to = np.stack([cur.idx, new.idx]), np.stack([new.idx, cur.idx])
             lq_f, lq_b = over_relax_log_prob_rows(rows, idx_from, idx_to, self.config.beta).sum(axis=-1)
         else:
             lq_f = row_entries(rows_f, new.idx).sum(axis=-1)
-            lq_b = row_entries(self._rows(new, z_b), cur.idx).sum(axis=-1)
+            lq_b = proposal_log_entries(new.G, new.S, z_b, pre, self.vals, cur.idx).sum(axis=-1)
         with np.errstate(invalid="ignore"):
             delta = new.F - cur.F - kin_new + kin_old + lq_b - lq_f
             return _Ratio(delta, v_star, lq_f, lq_b, cur.F - kin_old, new.F - kin_new)
@@ -415,9 +422,11 @@ def run_chains(
     cur = core.evaluate(idx)
     V = None
     if core.momentum:
-        V = np.empty((m, d))
-        for i, g in enumerate(rngs):
-            V[i] = momentum_init(pre, g)
+        U = np.empty((m, d))
+        for g, row in zip(rngs, U):  # momentum_init's doubles, one block for all chains
+            g.random(out=row)
+        # L_inv chain by chain: a matrix product can round unlike m vector products
+        V = np.array([pre.times(z, "L_inv") for z in standard_normals(U)])
     width = sum(_noise_widths(kernel_id, d, config.epsilon)) + 1
     block = max(1, NOISE_BLOCK_DOUBLES // (m * width))
     for t0 in range(0, n_steps, block):

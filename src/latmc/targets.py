@@ -237,8 +237,7 @@ class ClockPottsTarget(TargetModel):
         down = np.roll(sites, -1, axis=0).reshape(-1)
         left = np.roll(sites, 1, axis=1).reshape(-1)
         up = np.roll(sites, 1, axis=0).reshape(-1)
-        self._edge_ends = right, down
-        self._neighbors = right, left, down, up
+        self._neighbors = {"right": right, "left": left, "down": down, "up": up}
         self._cos_table = self._sin_table = None
         if q <= self.TABLE_MAX_Q:
             theta = self.lattice.values * self.angle_scale
@@ -247,11 +246,11 @@ class ClockPottsTarget(TargetModel):
 
     def f_batch(self, points) -> np.ndarray:
         theta = np.asarray(points, dtype=float) * self.angle_scale
-        return self._energy(lambda neighbor: np.cos(theta - theta[:, neighbor]))
+        return self._energy(lambda nb: np.cos(theta - theta[:, self._neighbors[nb]]))
 
     def grad_batch(self, points) -> np.ndarray:
         theta = np.asarray(points, dtype=float) * self.angle_scale
-        return self._gradient(lambda neighbor: np.sin(theta - theta[:, neighbor]))
+        return self._gradient(lambda nb: np.sin(theta - theta[:, self._neighbors[nb]]))
 
     def evaluate_indices(self, idx, grad: bool = True):
         if self._cos_table is None:
@@ -259,22 +258,24 @@ class ClockPottsTarget(TargetModel):
         # int16 chain indices would wrap in idx * q once q > 181
         idx = np.asarray(idx, dtype=np.intp)
         row = idx * self.q
-        F = self._energy(lambda neighbor: self._cos_table[row + idx[:, neighbor]])
-        G = self._gradient(lambda neighbor: self._sin_table[row + idx[:, neighbor]]) if grad else None
+        # table positions of each neighbor pair, built once for cos and sin
+        pair = {nb: row + idx[:, self._neighbors[nb]] for nb in (self._neighbors if grad else ("right", "down"))}
+        F = self._energy(lambda nb: self._cos_table[pair[nb]])
+        G = self._gradient(lambda nb: self._sin_table[pair[nb]]) if grad else None
         return self.lattice.values[idx], F, G
 
     def _energy(self, cos_to):
-        """Energies from ``cos_to(neighbor)``, the ``(n, d)`` plane of
-        cos(theta_i - theta_neighbor(i)); one reduction for both evaluators."""
-        right, down = self._edge_ends
-        return self.coupling * (cos_to(right).sum(axis=1) + cos_to(down).sum(axis=1))
+        """Energies from ``cos_to(nb)``, the ``(n, d)`` plane of
+        cos(theta_i - theta_nb(i)) over the edges to the right and down
+        neighbors; one reduction for both evaluators."""
+        return self.coupling * (cos_to("right").sum(axis=1) + cos_to("down").sum(axis=1))
 
     def _gradient(self, sin_to):
-        """Gradients from ``sin_to(neighbor)``, the four neighbor planes
-        added plane by plane in neighbor order."""
-        total = sin_to(self._neighbors[0])
-        for neighbor in self._neighbors[1:]:
-            total += sin_to(neighbor)
+        """Gradients from ``sin_to(nb)``, the four neighbor planes added plane
+        by plane in neighbor order (right, left, down, up)."""
+        total = sin_to("right")
+        for nb in ("left", "down", "up"):
+            total += sin_to(nb)
         return -self.coupling * self.angle_scale * total
 
 

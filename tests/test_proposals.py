@@ -11,6 +11,7 @@ from latmc.proposals import (
     over_relax_log_prob_rows,
     over_relax_rows_from_cdf,
     over_relax_sample_rows,
+    proposal_log_entries,
     proposal_log_rows,
     row_entries,
     sample_rows_inverse_cdf,
@@ -344,10 +345,18 @@ class TestValueMajorRows:
         cdf = cdf_rows(pmf)
         assert np.array_equal(cdf, trailing_cdf(pmf))
         assert np.moveaxis(cdf, -1, 0).flags["C_CONTIGUOUS"]
+        overwritten = np.exp(rows)
+        assert np.array_equal(cdf_rows(overwritten, in_place=True), cdf)
+        assert np.array_equal(overwritten, cdf)
         u = rng.random(shape)
         assert np.array_equal(sample_rows_inverse_cdf(pmf, u), trailing_inverse_cdf(pmf, u))
         idx = rng.integers(0, K, size=shape)
         assert np.array_equal(row_entries(rows, idx), trailing_entries(rows, idx))
+        entries = proposal_log_entries(*args, idx)
+        assert np.array_equal(entries, trailing_entries(trailing_log_rows(*args), idx))
+        if lam > 1.0 and K > 1:
+            assert (entries == LOG_FLOOR).any()
+        assert np.array_equal(row_entries(np.ascontiguousarray(rows), idx), trailing_entries(rows, idx))
         u0, u_tilde = rng.random(shape), rng.random(shape)
         for beta in (1.0, 0.3, -0.8):
             assert np.array_equal(
@@ -373,6 +382,14 @@ class TestValueMajorRows:
             for row in rng.choice(x0.size, size=min(x0.size, 12), replace=False):
                 want = _conditional_from_cdf(flat[0][row], int(flat[1][row]), int(flat[2][row]), beta)
                 assert flat[3][row] == pytest.approx(want, abs=1e-12), row
+
+    def test_fractional_part_by_floor_is_remainder_to_the_bit(self, rng):
+        # the over-relaxation law takes x mod 1 as x - floor(x)
+        tiny = np.finfo(float).smallest_subnormal
+        edges = np.array([0.0, 1.0, 2.0, 0.5, 1e-300, tiny, 2.0**-1022, 2.0**-53, 2.0**-54, 1e-17])
+        edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        x = np.concatenate([edges, -edges, rng.uniform(-2.0, 2.0, 10**5)])
+        assert np.array_equal((x - np.floor(x)).view(np.int64), (x % 1.0).view(np.int64))
 
     def test_trailing_layout_inputs_give_the_same_values(self, rng):
         pmf = rng.dirichlet(np.ones(9), size=(6, 5))  # C-contiguous, value axis last

@@ -125,8 +125,7 @@ class TestClockPotts:
     def test_benchmark_scale_shape(self):
         t = clock_potts(20, 7)
         assert t.lattice.dim == 400
-        right, down = t._edge_ends
-        assert right.size + down.size == 800
+        assert t._neighbors["right"].size + t._neighbors["down"].size == 800
 
     def test_small_lattice_matches_edge_enumeration(self):
         # 2x2 periodic lattice: right+down edge list double-counts each
