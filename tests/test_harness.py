@@ -20,6 +20,8 @@ from latmc.harness import (
     tune_command,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def base_config(tmp_path, **overrides):
     payload = {
@@ -241,9 +243,11 @@ class TestConfig:
         assert np.array_equal(quadratic.b, [0.0, 0.0])
 
     def test_example_configs_parse(self):
-        for path in Path("configs").glob("*.yaml"):
+        paths = sorted(CONFIGS.glob("*.yaml"))
+        for path in paths:
             cfg = ExperimentConfig.from_yaml(path)
             build_target(cfg.target)
+        assert len(paths) == 6  # every shipped config was parsed
 
 
 class TestPreconditionerResolution:
@@ -613,7 +617,7 @@ class TestNumericGuardExit:
 
 class TestDeskConfigEndToEnd:
     def test_discrete_gaussian_desk_config(self, tmp_path):
-        cfg = ExperimentConfig.from_yaml("configs/discrete_gaussian_desk.yaml")
+        cfg = ExperimentConfig.from_yaml(CONFIGS / "discrete_gaussian_desk.yaml")
         raw = dict(cfg.raw)
         raw["output_dir"] = str(tmp_path / "desk")
         raw["chains"] = 6
