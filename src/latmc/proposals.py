@@ -15,8 +15,6 @@ reflection starts.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import InvalidStateError, NumericGuardError
@@ -128,15 +126,8 @@ def over_relax_rows_from_cdf(cdf, x0_indices, beta, u0, u_tilde) -> np.ndarray:
 
 def row_entries(rows, idx) -> np.ndarray:
     """Entry ``idx[..., j]`` of each row ``rows[..., j, :]``, gathered by flat
-    position in the value-major layout (``idx`` has the rows' leading shape):
-    ``idx`` times the plane size plus the row's place in its value plane."""
-    return _planes(rows).reshape(-1)[idx * idx.size + _places(idx.shape)]
-
-
-@lru_cache(maxsize=16)
-def _places(shape):
-    """Flat places ``0 .. n-1`` of the rows in a value plane, read-only, built once per shape."""
-    return np.broadcast_to(np.arange(np.prod(shape, dtype=int)).reshape(shape), shape)
+    position in the value-major layout (``idx`` has the rows' leading shape)."""
+    return _planes(rows).reshape(-1)[idx * idx.size + np.arange(idx.size).reshape(idx.shape)]
 
 
 def _cdf_interval_rows(cdf, idx):
