@@ -258,10 +258,11 @@ class ClockPottsTarget(TargetModel):
         # int16 chain indices would wrap in idx * q once q > 181
         idx = np.asarray(idx, dtype=np.intp)
         row = idx * self.q
-        # table positions of each neighbor pair, built once for cos and sin
-        pair = {nb: row + idx[:, self._neighbors[nb]] for nb in (self._neighbors if grad else ("right", "down"))}
-        F = self._energy(lambda nb: self._cos_table[pair[nb]])
-        G = self._gradient(lambda nb: self._sin_table[pair[nb]]) if grad else None
+        # the right and down table positions serve cos and sin alike: built once
+        shared = {nb: row + idx[:, self._neighbors[nb]] for nb in ("right", "down")} if grad else {}
+        at = lambda nb: shared[nb] if nb in shared else row + idx[:, self._neighbors[nb]]
+        F = self._energy(lambda nb: self._cos_table[at(nb)])
+        G = self._gradient(lambda nb: self._sin_table[at(nb)]) if grad else None
         return self.lattice.values[idx], F, G
 
     def _energy(self, cos_to):
