@@ -125,8 +125,8 @@ def over_relax_rows_from_cdf(cdf, x0_indices, beta, u0, u_tilde) -> np.ndarray:
 
 
 def row_entries(rows, idx) -> np.ndarray:
-    """Entry ``idx[..., j]`` of each row ``rows[..., j, :]``, gathered by flat
-    position in the value-major layout (``idx`` has the rows' leading shape)."""
+    """Entry ``idx[..., j]`` of each row ``rows[..., j, :]``, gathered by
+    flat position in the value-major layout (``idx`` has the rows' leading shape)."""
     return _planes(rows).reshape(-1)[idx * idx.size + np.arange(idx.size).reshape(idx.shape)]
 
 
