@@ -356,7 +356,6 @@ class TestValueMajorRows:
         assert np.array_equal(entries, trailing_entries(trailing_log_rows(*args), idx))
         if lam > 1.0 and K > 1:
             assert (entries == LOG_FLOOR).any()
-        assert np.array_equal(row_entries(np.ascontiguousarray(rows), idx), trailing_entries(rows, idx))
         u0, u_tilde = rng.random(shape), rng.random(shape)
         for beta in (1.0, 0.3, -0.8):
             assert np.array_equal(
