@@ -42,14 +42,10 @@ from .samplers import (
     ChainState,
     SamplerConfig,
     StepOutcome,
-    git_gibbs_step,
-    metropolis_step,
     momentum_init,
-    opdhams_step,
-    pavg_step,
     run_chains,
     step_kernel,
-    vpdhams_step,
+    transition_terms,
 )
 from .diagnostics import (
     acf,

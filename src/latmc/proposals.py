@@ -102,17 +102,6 @@ def over_relax_conditional(row_pmf: np.ndarray, x0_index: int, x1_index: int, be
     return float(_over_relax_prob_rows(cdf_rows(row_pmf[None]), x0, x1, beta)[0])
 
 
-def over_relax_sample_rows(
-    pmf_rows: np.ndarray,
-    x0_indices: np.ndarray,
-    beta: float,
-    u0: np.ndarray,
-    u_tilde: np.ndarray,
-) -> np.ndarray:
-    """Vectorized landing indices of the over-relaxation map, one per row."""
-    return over_relax_rows_from_cdf(cdf_rows(pmf_rows), x0_indices, beta, u0, u_tilde)
-
-
 def over_relax_rows_from_cdf(cdf, x0_indices, beta, u0, u_tilde) -> np.ndarray:
     """Draw w0 uniformly on the CDF interval of x0 (from ``u0``), map
     w1 = (-w0 + beta w~) mod 1 (w~ = ``u_tilde``) and return the landing index;

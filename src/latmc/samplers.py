@@ -7,8 +7,8 @@ independent chains: ``propose`` maps one step's variates to proposed lattice
 indices, and ``log_ratio`` gives the acceptance log-ratio together with the
 proposal and joint log-densities behind it.  Rows ``(m, d, K)`` are stored value-major
 (:mod:`latmc.proposals`); diagonal preconditioner matrices multiply elementwise.
-:func:`run_chains` loops the core over steps; the solo ``*_step`` functions
-and the ``*_transition_terms`` are one-chain calls of the same core.  The
+:func:`run_chains` loops the core over steps; :func:`step_kernel` and
+:func:`transition_terms` are one-chain calls of the same core.  The
 core evaluates the target once per point, at lattice indices, through
 ``TargetModel.evaluate_indices``; ``f``/``grad_f``/``*_batch`` serve
 off-lattice points.
@@ -35,8 +35,8 @@ stream is nothing but ``random()`` doubles.  Because a step's width is
 fixed, :func:`run_chains` draws whole blocks of steps with one call per
 chain; the block size bounds memory only and cannot change a trajectory.
 
-Each solo step accepts an optional pre-drawn ``noise`` tuple in the same
-order, which substitutes for the generator draws.
+:func:`step_kernel` accepts an optional pre-drawn ``noise`` tuple in the
+same order, which substitutes for the generator draws.
 """
 
 from __future__ import annotations
@@ -221,13 +221,13 @@ class _Core:
         lo = np.maximum(idx - r, 0)
         return lo, np.minimum(idx + r, self.vals.size - 1) - lo + 1
 
-    def _rows(self, at: _Points, z, out=None):
+    def _rows(self, at: _Points, z):
         """Proposal rows around ``at``: log-probabilities, or for opdhams CDFs
-        formed in place, over the log-probabilities or in the rows ``out``."""
+        formed in place over them."""
         log_rows = proposal_log_rows(at.G, at.S, z, self.pre, self.vals)
         if not self.over_relaxed:
             return log_rows
-        return cdf_rows(np.exp(log_rows, out=log_rows if out is None else out), in_place=True)
+        return cdf_rows(np.exp(log_rows, out=log_rows), in_place=True)
 
     def forward_rows(self, cur: _Points, aux):
         """Forward proposal rows given the auxiliary point ``z`` (momentum-free
@@ -273,14 +273,10 @@ class _Core:
             v_star, z_b = None, aux
             kin_new = 0.5 * (pre.times(aux - new.S, "L") ** 2).sum(axis=-1)
             kin_old = 0.5 * (pre.times(aux - cur.S, "L") ** 2).sum(axis=-1)
-        if self.over_relaxed:  # forward and backward terms in one batch
-            # backward CDFs are formed in the stacked rows; the forward ones, kept
-            # contiguous for the draw's gathers, are copied there
-            rows = np.moveaxis(np.empty((self.vals.size, 2, *new.S.shape)), 0, -1)
-            rows[0] = rows_f
-            self._rows(new, z_b, rows[1])
-            idx_from, idx_to = np.stack([cur.idx, new.idx]), np.stack([new.idx, cur.idx])
-            lq_f, lq_b = over_relax_log_prob_rows(rows, idx_from, idx_to, self.config.beta).sum(axis=-1)
+        if self.over_relaxed:
+            beta = self.config.beta
+            lq_f = over_relax_log_prob_rows(rows_f, cur.idx, new.idx, beta).sum(axis=-1)
+            lq_b = over_relax_log_prob_rows(self._rows(new, z_b), new.idx, cur.idx, beta).sum(axis=-1)
         else:
             lq_f = row_entries(rows_f, new.idx).sum(axis=-1)
             lq_b = proposal_log_entries(new.G, new.S, z_b, pre, self.vals, cur.idx).sum(axis=-1)
@@ -311,8 +307,9 @@ class _Core:
 
 
 def step_kernel(kernel_id: str, state: ChainState, target: TargetModel, pre, config: SamplerConfig, rng, noise=None) -> StepOutcome:
-    """Uniform dispatcher over the kernel registry: one step of one chain,
-    as a one-chain call of the lockstep core."""
+    """One step of one chain of any kernel in ``KERNELS``, as a one-chain call
+    of the lockstep core: ``metropolis`` takes ``pre=None`` and reads only
+    ``config.r``, and ``git_gibbs`` never rejects."""
     core = _Core(kernel_id, target, pre, config)
     if core.momentum and state.v is None:
         raise InvalidStateError("momentum kernel requires a state with momentum")
@@ -330,64 +327,23 @@ def step_kernel(kernel_id: str, state: ChainState, target: TargetModel, pre, con
     return StepOutcome(ChainState(nxt.S[0], v_next), bool(accepted[0]), float(delta[0]), core.vals[idx_star[0]])
 
 
-def _transition_terms(kernel_id, s_t, v_half, s_star, target, pre, config):
-    core = _Core(kernel_id, target, pre, config)
-    both = core.evaluate(target.lattice.index_of(np.stack([s_t, s_star])))
-    cur, new = (_Points(*(field[k : k + 1] for field in both)) for k in (0, 1))
-    v_half = np.asarray(v_half, dtype=float)[None]
-    ratio = core.log_ratio(cur, v_half, core.forward_rows(cur, v_half), new)
-    return {name: value[0] for name, value in ratio._asdict().items()}
-
-
-def git_gibbs_step(state: ChainState, target: TargetModel, pre: Preconditioner, rng, noise=None) -> StepOutcome:
-    """Auxiliary-variable Gibbs sweep for quadratic targets; never rejects.
-
-    Consumes the same variate pattern as the accept-reject kernels so that
-    shared-seed trajectory comparisons line up step for step.
-    """
-    return step_kernel("git_gibbs", state, target, pre, SamplerConfig(), rng, noise)
-
-
-def pavg_step(state: ChainState, target: TargetModel, pre: Preconditioner, rng, noise=None) -> StepOutcome:
-    """Preconditioned auxiliary-variable step (momentum-free kernel)."""
-    return step_kernel("pavg", state, target, pre, SamplerConfig(), rng, noise)
-
-
-def vpdhams_transition_terms(s_t, v_half, s_star, target: TargetModel, pre: Preconditioner, config: SamplerConfig):
-    """Closed-form quantities of the momentum kernel for a given proposal.
+def transition_terms(kernel_id: str, s_t, v_half, s_star, target: TargetModel, pre: Preconditioner, config: SamplerConfig):
+    """Closed-form quantities of a momentum kernel (``vpdhams`` or ``opdhams``)
+    for a given proposal.
 
     Returns a dict with the deterministic momentum proposal ``v_star``, the
     normalized forward/backward proposal log-probabilities, the joint
     log-densities (up to the shared constant) of the endpoints, and the
     acceptance log-ratio ``delta``.
     """
-    return _transition_terms("vpdhams", s_t, v_half, s_star, target, pre, config)
-
-
-def vpdhams_step(state: ChainState, target: TargetModel, pre: Preconditioner, config: SamplerConfig, rng, noise=None) -> StepOutcome:
-    """Momentum kernel: partial refresh, negated-momentum proposal, gradient
-    correction, generalized Metropolis acceptance.  Rejection stores the
-    negated intermediate momentum."""
-    return step_kernel("vpdhams", state, target, pre, config, rng, noise)
-
-
-def opdhams_transition_terms(s_t, v_half, s_star, target: TargetModel, pre: Preconditioner, config: SamplerConfig):
-    """Like :func:`vpdhams_transition_terms` but with over-relaxed proposal
-    probabilities computed from the exact conditional law per coordinate."""
-    return _transition_terms("opdhams", s_t, v_half, s_star, target, pre, config)
-
-
-def opdhams_step(state: ChainState, target: TargetModel, pre: Preconditioner, config: SamplerConfig, rng, noise=None) -> StepOutcome:
-    """Momentum kernel with the state proposed coordinate-wise by CDF-space
-    over-relaxation around the current point."""
-    return step_kernel("opdhams", state, target, pre, config, rng, noise)
-
-
-def metropolis_step(state: ChainState, target: TargetModel, r: int, rng, noise=None) -> StepOutcome:
-    """Random-walk baseline: per coordinate, propose uniformly among values
-    within index distance ``r`` (clipped at the lattice ends, current value
-    permitted), with the clipping asymmetry corrected in the acceptance."""
-    return step_kernel("metropolis", state, target, None, SamplerConfig(r=r), rng, noise)
+    if kernel_id not in MOMENTUM_KERNELS:
+        raise ValueError(f"transition terms need a momentum kernel {MOMENTUM_KERNELS}, got {kernel_id!r}")
+    core = _Core(kernel_id, target, pre, config)
+    both = core.evaluate(target.lattice.index_of(np.stack([s_t, s_star])))
+    cur, new = (_Points(*(field[k : k + 1] for field in both)) for k in (0, 1))
+    v_half = np.asarray(v_half, dtype=float)[None]
+    ratio = core.log_ratio(cur, v_half, core.forward_rows(cur, v_half), new)
+    return {name: value[0] for name, value in ratio._asdict().items()}
 
 
 def run_chains(

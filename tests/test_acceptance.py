@@ -2,6 +2,7 @@
 the measured figures once its assertions hold."""
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,21 +21,18 @@ from latmc.precondition import (
     scaling_check,
 )
 from latmc.proposals import (
+    cdf_rows,
     over_relax_conditional,
-    over_relax_sample_rows,
+    over_relax_rows_from_cdf,
     sample_rows_inverse_cdf,
 )
 from latmc.samplers import (
     ChainState,
     SamplerConfig,
-    git_gibbs_step,
     momentum_init,
-    opdhams_transition_terms,
-    pavg_step,
     run_chains,
     step_kernel,
-    vpdhams_step,
-    vpdhams_transition_terms,
+    transition_terms,
 )
 from latmc.targets import (
     QuadraticTarget,
@@ -118,8 +116,8 @@ def test_criterion_2_generalized_detailed_balance():
         s = target.lattice.random_point(rng)
         v_half = momentum_init(pre, rng)
         for s_star in points:
-            worst_vanilla = max(worst_vanilla, residual(vpdhams_transition_terms, s, v_half, s_star))
-            worst_relaxed = max(worst_relaxed, residual(opdhams_transition_terms, s, v_half, s_star))
+            worst_vanilla = max(worst_vanilla, residual(partial(transition_terms, "vpdhams"), s, v_half, s_star))
+            worst_relaxed = max(worst_relaxed, residual(partial(transition_terms, "opdhams"), s, v_half, s_star))
     assert worst_vanilla <= 1e-10
     assert worst_relaxed <= 1e-8
     elapsed = time.perf_counter() - start
@@ -173,7 +171,7 @@ def test_criterion_4_scheme_equivalences():
     worst = 0.0
     for _ in range(1000):
         z, u, a = rng.standard_normal(2), rng.random(2), rng.random()
-        out = vpdhams_step(states[0], target, pre, cfg, None, noise=(z, u, a))
+        out = step_kernel("vpdhams", states[0], target, pre, cfg, None, noise=(z, u, a))
         alternates = [
             momentum_step_mean(states[1], target, pre, cfg, z, u, a),
             momentum_step_variance(states[2], target, pre, cfg, z, u, a),
@@ -190,7 +188,7 @@ def test_criterion_4_scheme_equivalences():
     worst_pavg = 0.0
     for _ in range(1000):
         z, u, a = rng.standard_normal(2), rng.random(2), rng.random()
-        out = pavg_step(sp[0], target, pre, None, noise=(z, u, a))
+        out = step_kernel("pavg", sp[0], target, pre, SamplerConfig(), None, noise=(z, u, a))
         nxt, delta, accepted = pavg_step_mean(sp[1], target, pre, z, u, a)
         assert np.array_equal(out.next.s, nxt.s)
         assert out.accepted == accepted
@@ -214,8 +212,8 @@ def test_criterion_5_reductions():
     worst_a = 0.0
     for _ in range(1000):
         z, u, a = rng.standard_normal(2), rng.random(2), rng.random()
-        op = pavg_step(sp, target, pre, None, noise=(z, u, a))
-        ov = vpdhams_step(sv, target, pre, cfg0, None, noise=(-z, u, a))
+        op = step_kernel("pavg", sp, target, pre, SamplerConfig(), None, noise=(z, u, a))
+        ov = step_kernel("vpdhams", sv, target, pre, cfg0, None, noise=(-z, u, a))
         assert np.array_equal(op.next.s, ov.next.s)
         worst_a = max(worst_a, abs(op.log_accept_ratio - ov.log_accept_ratio))
         sp, sv = op.next, ov.next
@@ -231,8 +229,8 @@ def test_criterion_5_reductions():
         s = target.lattice.random_point(rng)
         v_half = momentum_init(pre_b, rng)
         for s_star in points:
-            vanilla = vpdhams_transition_terms(s, v_half, s_star, target, pre_b, cfg_b)
-            relaxed = opdhams_transition_terms(s, v_half, s_star, target, pre_b, cfg_b)
+            vanilla = transition_terms("vpdhams", s, v_half, s_star, target, pre_b, cfg_b)
+            relaxed = transition_terms("opdhams", s, v_half, s_star, target, pre_b, cfg_b)
             worst_b = max(
                 worst_b,
                 abs(vanilla["log_q_fwd"] - relaxed["log_q_fwd"]),
@@ -249,8 +247,8 @@ def test_criterion_5_reductions():
     sg = ChainState(sp.s.copy())
     for _ in range(1000):
         z, u, a = rng.standard_normal(3), rng.random(3), rng.random()
-        op = pavg_step(sp, quad, pre_c, None, noise=(z, u, a))
-        og = git_gibbs_step(sg, quad, pre_c, None, noise=(z, u, a))
+        op = step_kernel("pavg", sp, quad, pre_c, SamplerConfig(), None, noise=(z, u, a))
+        og = step_kernel("git_gibbs", sg, quad, pre_c, SamplerConfig(), None, noise=(z, u, a))
         assert np.array_equal(op.next.s, og.next.s)
         assert abs(op.log_accept_ratio) <= 1e-10
         sp, sg = op.next, og.next
@@ -327,8 +325,8 @@ def test_criterion_7_shift_and_factorization():
     worst_div = 0.0
     for _ in range(1000):
         z, u, a = rng.standard_normal(8), rng.random(8), rng.random()
-        out_c = vpdhams_step(state_c, target, pre_chol, cfg, None, noise=(z, u, a))
-        out_e = vpdhams_step(state_e, target, pre_eig, cfg, None, noise=(rotation.T @ z, u, a))
+        out_c = step_kernel("vpdhams", state_c, target, pre_chol, cfg, None, noise=(z, u, a))
+        out_e = step_kernel("vpdhams", state_e, target, pre_eig, cfg, None, noise=(rotation.T @ z, u, a))
         assert np.array_equal(out_c.next.s, out_e.next.s)
         worst_div = max(worst_div, abs(out_c.log_accept_ratio - out_e.log_accept_ratio))
         state_c, state_e = out_c.next, out_e.next
@@ -361,7 +359,7 @@ def test_criterion_8_over_relaxation_laws():
     n = 10**6
     beta = 0.3
     x0 = sample_rows_inverse_cdf(np.tile(pmf, (n, 1)), rng.random(n))
-    x1 = over_relax_sample_rows(np.tile(pmf, (n, 1)), x0, beta, rng.random(n), rng.random(n))
+    x1 = over_relax_rows_from_cdf(cdf_rows(np.tile(pmf, (n, 1))), x0, beta, rng.random(n), rng.random(n))
     pvalue = stats.chisquare(np.bincount(x1, minlength=5), n * pmf).pvalue
     assert pvalue > 1e-4
     report(

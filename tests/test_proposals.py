@@ -10,13 +10,12 @@ from latmc.proposals import (
     over_relax_conditional,
     over_relax_log_prob_rows,
     over_relax_rows_from_cdf,
-    over_relax_sample_rows,
     proposal_log_entries,
     proposal_log_rows,
     row_entries,
     sample_rows_inverse_cdf,
 )
-from latmc.samplers import ChainState, SamplerConfig, pavg_step, vpdhams_transition_terms
+from latmc.samplers import ChainState, SamplerConfig, step_kernel, transition_terms
 from latmc.targets import QuadraticTarget, integer_lattice
 from over_relax_oracle import _conditional_from_cdf
 
@@ -91,7 +90,7 @@ class TestBuildProposal:
         rows = proposal_log_rows(t.grad_f(s), s, s - v_half, pre, t.lattice.values)
         idx = np.array([0, 3, 4])
         manual = sum(rows[i, idx[i]] for i in range(3))
-        terms = vpdhams_transition_terms(s, v_half, t.lattice.values[idx], t, pre, SamplerConfig(delta=0.5))
+        terms = transition_terms("vpdhams", s, v_half, t.lattice.values[idx], t, pre, SamplerConfig(delta=0.5))
         assert terms["log_q_fwd"] == pytest.approx(manual, abs=1e-12)
 
     def test_numeric_guard(self):
@@ -122,7 +121,7 @@ class TestSampleProduct:
         pre = first_order_preconditioner(2, 1.0)
         t = QuadraticTarget(integer_lattice(2, 1), -np.eye(2), np.zeros(2))
         g_used = np.random.default_rng(5)
-        out = pavg_step(ChainState(np.zeros(2)), t, pre, g_used)
+        out = step_kernel("pavg", ChainState(np.zeros(2)), t, pre, SamplerConfig(), g_used)
         assert out.proposal.shape == (2,)
         g_ref = np.random.default_rng(5)
         g_ref.random(2 * 2 + 1)
@@ -134,7 +133,7 @@ class TestOverRelax:
         pmf = np.array([[0.5, 0.5]])
         x0 = np.array([0])
         # w0 = 0.25, w~ = 0.77 unused by the map
-        x1 = over_relax_sample_rows(pmf, x0, 0.0, np.array([0.5]), np.array([0.77]))
+        x1 = over_relax_rows_from_cdf(cdf_rows(pmf), x0, 0.0, np.array([0.5]), np.array([0.77]))
         logp = over_relax_log_prob_rows(cdf_rows(pmf), x0, x1, 0.0)[0]
         assert x1[0] == 1
         assert logp == pytest.approx(0.0, abs=1e-12)  # deterministic landing
@@ -177,14 +176,14 @@ class TestOverRelax:
         pmf = np.array([0.2, 0.5, 0.3])
         n = 10**5
         x0 = sample_rows_inverse_cdf(np.tile(pmf, (n, 1)), rng.random(n))
-        x1 = over_relax_sample_rows(np.tile(pmf, (n, 1)), x0, 0.25, rng.random(n), rng.random(n))
+        x1 = over_relax_rows_from_cdf(cdf_rows(np.tile(pmf, (n, 1))), x0, 0.25, rng.random(n), rng.random(n))
         counts = np.bincount(x1, minlength=3)
         assert stats.chisquare(counts, n * pmf).pvalue > 1e-4
 
     def test_single_value_row(self):
         pmf = np.array([[1.0]])
         x0 = np.array([0])
-        x1 = over_relax_sample_rows(pmf, x0, 0.3, np.array([0.4]), np.array([0.6]))
+        x1 = over_relax_rows_from_cdf(cdf_rows(pmf), x0, 0.3, np.array([0.4]), np.array([0.6]))
         logp = over_relax_log_prob_rows(cdf_rows(pmf), x0, x1, 0.3)[0]
         assert x1[0] == 0
         assert logp == pytest.approx(0.0, abs=1e-12)
@@ -201,8 +200,8 @@ class TestOverRelax:
         beta = -0.6
         n = 4 * 10**4
         for x0 in range(3):
-            x1 = over_relax_sample_rows(
-                np.tile(pmf, (n, 1)), np.full(n, x0), beta, rng.random(n), rng.random(n)
+            x1 = over_relax_rows_from_cdf(
+                cdf_rows(np.tile(pmf, (n, 1))), np.full(n, x0), beta, rng.random(n), rng.random(n)
             )
             freq = np.bincount(x1, minlength=3) / n
             law = conditional_matrix(pmf, beta)[x0]

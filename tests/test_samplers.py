@@ -1,6 +1,7 @@
 import math
 import pickle
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,17 +20,11 @@ from latmc.proposals import proposal_log_rows
 from latmc.samplers import (
     ChainState,
     SamplerConfig,
-    git_gibbs_step,
-    metropolis_step,
     momentum_init,
-    opdhams_step,
-    opdhams_transition_terms,
-    pavg_step,
     run_chains,
     standard_normals,
     step_kernel,
-    vpdhams_step,
-    vpdhams_transition_terms,
+    transition_terms,
 )
 from latmc.targets import (
     ClockPottsTarget,
@@ -168,7 +163,7 @@ class TestGeneralizedDetailedBalance:
             s = t.lattice.random_point(rng)
             v_half = momentum_init(pre, rng)
             for s_star in points:
-                assert gdb_residual(vpdhams_transition_terms, t, pre, cfg, s, v_half, s_star) <= 1e-10
+                assert gdb_residual(partial(transition_terms, "vpdhams"), t, pre, cfg, s, v_half, s_star) <= 1e-10
 
     def test_vanilla_pointwise_w_zero(self, rng):
         t = small_mixture()
@@ -179,7 +174,7 @@ class TestGeneralizedDetailedBalance:
             s = t.lattice.random_point(rng)
             v_half = momentum_init(pre, rng)
             for s_star in points:
-                assert gdb_residual(vpdhams_transition_terms, t, pre, cfg, s, v_half, s_star) <= 1e-10
+                assert gdb_residual(partial(transition_terms, "vpdhams"), t, pre, cfg, s, v_half, s_star) <= 1e-10
 
     def test_over_relaxed_pointwise(self, rng):
         t = small_mixture()
@@ -190,7 +185,7 @@ class TestGeneralizedDetailedBalance:
             s = t.lattice.random_point(rng)
             v_half = momentum_init(pre, rng)
             for s_star in points:
-                assert gdb_residual(opdhams_transition_terms, t, pre, cfg, s, v_half, s_star) <= 1e-8
+                assert gdb_residual(partial(transition_terms, "opdhams"), t, pre, cfg, s, v_half, s_star) <= 1e-8
 
 
 class TestSchemeEquivalence:
@@ -205,7 +200,7 @@ class TestSchemeEquivalence:
             z = rng.standard_normal(2)
             u = rng.random(2)
             a = rng.random()
-            out = vpdhams_step(states[0], t, pre, cfg, None, noise=(z, u, a))
+            out = step_kernel("vpdhams", states[0], t, pre, cfg, None, noise=(z, u, a))
             alt = [
                 momentum_step_mean(states[1], t, pre, cfg, z, u, a),
                 momentum_step_variance(states[2], t, pre, cfg, z, u, a),
@@ -227,7 +222,7 @@ class TestSchemeEquivalence:
             z = rng.standard_normal(2)
             u = rng.random(2)
             a = rng.random()
-            out = pavg_step(states[0], t, pre, None, noise=(z, u, a))
+            out = step_kernel("pavg", states[0], t, pre, SamplerConfig(), None, noise=(z, u, a))
             nxt, delta, accepted = pavg_step_mean(states[1], t, pre, z, u, a)
             assert np.array_equal(out.next.s, nxt.s)
             assert abs(out.log_accept_ratio - delta) <= 1e-12
@@ -248,8 +243,8 @@ class TestReductions:
             z = rng.standard_normal(2)
             u = rng.random(2)
             a = rng.random()
-            op = pavg_step(sp, t, pre, None, noise=(z, u, a))
-            ov = vpdhams_step(sv, t, pre, cfg, None, noise=(-z, u, a))
+            op = step_kernel("pavg", sp, t, pre, SamplerConfig(), None, noise=(z, u, a))
+            ov = step_kernel("vpdhams", sv, t, pre, cfg, None, noise=(-z, u, a))
             assert np.array_equal(op.next.s, ov.next.s)
             assert abs(op.log_accept_ratio - ov.log_accept_ratio) <= 1e-10
             sp, sv = op.next, ov.next
@@ -263,8 +258,8 @@ class TestReductions:
             z = rng.standard_normal(3)
             u = rng.random(3)
             a = rng.random()
-            op = pavg_step(sp, t, pre, None, noise=(z, u, a))
-            og = git_gibbs_step(sg, t, pre, None, noise=(z, u, a))
+            op = step_kernel("pavg", sp, t, pre, SamplerConfig(), None, noise=(z, u, a))
+            og = step_kernel("git_gibbs", sg, t, pre, SamplerConfig(), None, noise=(z, u, a))
             assert np.array_equal(op.next.s, og.next.s)
             assert op.accepted and og.accepted
             sp, sg = op.next, og.next
@@ -281,8 +276,8 @@ class TestReductions:
             s = t.lattice.random_point(rng)
             v_half = momentum_init(pre, rng)
             for s_star in points:
-                vanilla = vpdhams_transition_terms(s, v_half, s_star, t, pre, cfg)
-                relaxed = opdhams_transition_terms(s, v_half, s_star, t, pre, cfg)
+                vanilla = transition_terms("vpdhams", s, v_half, s_star, t, pre, cfg)
+                relaxed = transition_terms("opdhams", s, v_half, s_star, t, pre, cfg)
                 assert abs(vanilla["log_q_fwd"] - relaxed["log_q_fwd"]) <= 1e-10
                 assert abs(vanilla["delta"] - relaxed["delta"]) <= 1e-10
                 checks += 1
@@ -293,7 +288,7 @@ class TestMetropolis:
         t = QuadraticTarget(integer_lattice(2, 5), np.zeros((2, 2)), np.zeros(2))
         state = ChainState(np.zeros(2))
         for _ in range(50):
-            out = metropolis_step(state, t, 2, rng)
+            out = step_kernel("metropolis", state, t, None, SamplerConfig(r=2), rng)
             # interior proposals have symmetric windows
             if np.all(np.abs(t.lattice.index_of(out.proposal) - 5) <= 3):
                 assert out.accepted
@@ -302,7 +297,7 @@ class TestMetropolis:
     def test_full_width_window_is_symmetric(self, rng):
         t = discrete_gaussian(1, 3, 3.0, 0.0)
         state = ChainState(np.array([-3.0]))
-        out = metropolis_step(state, t, t.lattice.n_values, rng)
+        out = step_kernel("metropolis", state, t, None, SamplerConfig(r=t.lattice.n_values), rng)
         # q is lattice-wide uniform in both directions: ratio reduces to the
         # energy difference alone
         expected = t.f(out.proposal) - t.f(state.s)
@@ -332,7 +327,7 @@ class TestMomentumConvention:
             u = rng.random(2)
             a = rng.random()
             v_half = cfg.epsilon * state.v + math.sqrt(1 - cfg.epsilon**2) * (z @ pre.L_inv_T.T)
-            out = vpdhams_step(state, t, pre, cfg, None, noise=(z, u, a))
+            out = step_kernel("vpdhams", state, t, pre, cfg, None, noise=(z, u, a))
             if not out.accepted:
                 assert np.array_equal(out.next.v, -v_half)
                 assert np.array_equal(out.next.s, state.s)
@@ -410,17 +405,25 @@ class TestGuards:
         t = discrete_gaussian(2, 3, 2.0, 0.5)
         pre = first_order_preconditioner(2, 0.3)
         with pytest.raises(ContractError):
-            git_gibbs_step(ChainState(t.lattice.random_point(rng)), t, pre, rng)
+            step_kernel("git_gibbs", ChainState(t.lattice.random_point(rng)), t, pre, SamplerConfig(), rng)
         mix = small_mixture()
         with pytest.raises(ContractError):
-            git_gibbs_step(ChainState(mix.lattice.random_point(rng)), mix, pre, rng)
+            step_kernel("git_gibbs", ChainState(mix.lattice.random_point(rng)), mix, pre, SamplerConfig(), rng)
+
+    @pytest.mark.parametrize("kernel", ["metropolis", "git_gibbs", "pavg", "bogus"])
+    def test_transition_terms_need_a_momentum_kernel(self, kernel):
+        t = small_mixture()
+        pre = first_order_preconditioner(2, 0.3)
+        s = np.zeros(2)
+        with pytest.raises(ValueError, match="momentum kernel"):
+            transition_terms(kernel, s, np.zeros(2), s, t, pre, SamplerConfig(delta=0.3))
 
     def test_momentum_kernels_require_momentum(self, rng):
         t = small_mixture()
         pre = first_order_preconditioner(2, 0.3)
         cfg = SamplerConfig(delta=0.3)
         with pytest.raises(InvalidStateError):
-            vpdhams_step(ChainState(t.lattice.random_point(rng)), t, pre, cfg, rng)
+            step_kernel("vpdhams", ChainState(t.lattice.random_point(rng)), t, pre, cfg, rng)
 
     def test_non_finite_energy_trips_guard(self, rng):
         class Broken(QuadraticTarget):
@@ -433,7 +436,7 @@ class TestGuards:
         t = Broken(integer_lattice(2, 1), -np.eye(2), np.zeros(2))
         pre = first_order_preconditioner(2, 0.5)
         with pytest.raises(NumericGuardError):
-            pavg_step(ChainState(np.zeros(2)), t, pre, rng)
+            step_kernel("pavg", ChainState(np.zeros(2)), t, pre, SamplerConfig(), rng)
 
 
 class NaNAfter(QuadraticTarget):
@@ -648,7 +651,7 @@ def test_unit_epsilon_keeps_momentum_and_skips_refresh_draw(rng):
     v0 = momentum_init(pre, rng)
     state = ChainState(t.lattice.random_point(rng), v0.copy())
     g_used = chain_rng(123, 0)
-    out = vpdhams_step(state, t, pre, cfg, g_used)
+    out = step_kernel("vpdhams", state, t, pre, cfg, g_used)
     if not out.accepted:
         assert np.array_equal(out.next.v, -v0)
     g_ref = chain_rng(123, 0)
