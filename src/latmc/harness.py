@@ -103,6 +103,9 @@ def build_target(params: dict) -> TargetModel:
             else np.asarray(value, dtype=float) if key in TARGET_ARRAY_KEYS else float(value)
             for key, value in params.items()
         }
+        for key, value in kwargs.items():
+            if not np.isfinite(value).all():  # ConfigError is not among the errors caught below
+                raise ConfigError(f"target.{key} must be finite, got {params[key]!r}")
         if name == "quadratic":
             w_true = kwargs["w_true"]
             b = kwargs.get("b", np.zeros(len(w_true)))
@@ -185,8 +188,8 @@ class ExperimentConfig:
         if calibration["burn_in_kernel"] not in BURN_IN_KERNELS:
             raise ConfigError(f"calibration.burn_in_kernel must be one of {BURN_IN_KERNELS}, "
                               f"got {calibration['burn_in_kernel']!r}")
-        if any(c > length for c in checkpoints):
-            raise ConfigError("checkpoints must lie in [1, length]")
+        if not checkpoints or any(c > length for c in checkpoints):
+            raise ConfigError("checkpoints must list at least one step in [1, length]")
         d = built.lattice.dim
         for coords in tv_coords:
             if not coords or len(set(coords)) < len(coords) or max(coords) >= d:

@@ -167,8 +167,8 @@ def lambda_shift(w: np.ndarray, delta: float) -> float:
     shifted matrix equals delta when W has a nonpositive eigenvalue and
     lambda_min(W) + delta otherwise.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     w = np.asarray(w, dtype=float)
     lam_min = float(np.linalg.eigvalsh(w)[0])
     return delta - min(0.0, lam_min)

@@ -152,6 +152,35 @@ class TestConfig:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("override, named", [
+        ({"target": {"name": "clock_potts", "side": 3, "q": 4, "coupling": float("nan")}},
+         "target.coupling must be finite"),
+        ({"target": {"name": "clock_potts", "side": 3, "q": 4, "coupling": float("inf")}},
+         "target.coupling must be finite"),
+        ({"target": {"name": "discrete_gaussian", "d": 2, "k": 2, "sigma": float("inf"), "rho": 0.5}},
+         "target.sigma must be finite"),
+        ({"target": {"name": "discrete_gaussian", "d": 2, "k": 2, "sigma": float("nan"), "rho": 0.5}},
+         "target.sigma must be finite"),
+        ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2,
+                     "means": [[0.0, float("nan")], [1.0, 1.0]], "variances": [1.0, 2.0]}},
+         "target.means must be finite"),
+        ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2,
+                     "means": [[0.0, 0.0], [1.0, 1.0]], "variances": [1.0, float("inf")]}},
+         "target.variances must be finite"),
+        ({"target": {"name": "quadratic", "k": 2, "w_true": [[-1.0, 0.0], [0.0, -1.0]], "b": [float("nan"), 0.0]}},
+         "target.b must be finite"),
+        # no checkpoint would leave a tv.csv holding only its header
+        ({"checkpoints": []}, "checkpoints must list at least one step in [1, length]"),
+    ], ids=["clock_coupling_nan", "clock_coupling_inf", "gaussian_sigma_inf", "gaussian_sigma_nan",
+            "mixture_means_nan", "mixture_variances_inf", "quadratic_b_nan", "checkpoints_empty"])
+    def test_non_finite_target_values_and_empty_checkpoints_exit_2(self, tmp_path, capsys, override, named):
+        payload = dict(base_config(tmp_path).raw, calibration={"method": "none"}, **override)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        assert cli_main(["run", "-c", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override, named", [
         ({"checkpoints": [200.7, 400]}, "checkpoints must be an integer, got 200.7"),
         ({"chains": 2.5}, "chains must be an integer, got 2.5"),
         ({"length": "400"}, "length must be an integer, got '400'"),

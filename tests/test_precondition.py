@@ -116,6 +116,14 @@ class TestLambdaShift:
     def test_zero_matrix(self):
         assert lambda_shift(np.zeros((3, 3)), 1.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_delta_outside_open_half_line_rejected(self, delta):
+        # nan used to reach eigvalsh (LinAlgError) and inf built a NaN factor
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            lambda_shift(np.zeros((3, 3)), delta)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            first_order_preconditioner(3, delta)
+
     def test_floor_property(self, rng):
         for _ in range(25):
             d = rng.integers(2, 7)
