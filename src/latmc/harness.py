@@ -68,6 +68,7 @@ CALIBRATION_STREAM = 1 << 20
 TUNING_STREAM = (1 << 20) + 1
 
 CHAIN_CSV_PREFIX = "chain_"
+CSV_BLOCK_ROWS = 256  # chain-CSV rows formatted per write: memory O(block x d)
 
 
 def _config_int(value, key: str, minimum: int | None = None) -> int:
@@ -304,21 +305,20 @@ def _run_all_chains(config: ExperimentConfig, pre):
 
 
 def _write_chain_csvs(out_dir: Path, config: ExperimentConfig, values, indices, energies, accepted):
-    d = indices.shape[2]
-    header = ["chain", "t"] + [f"s_{i + 1}" for i in range(d)] + ["energy", "accepted"]
+    """One CSV per chain, the bytes ``csv.writer`` renders: each lattice value is
+    formatted once, and lines are built from its labels a block of rows at a time."""
+    m, n, d = indices.shape
+    header = ",".join(["chain", "t"] + [f"s_{i + 1}" for i in range(d)] + ["energy", "accepted"])
+    labels = np.array([repr(float(v)) for v in values], dtype=object)
     chains_dir = out_dir / "chains"
     chains_dir.mkdir(exist_ok=True)
-    for c in range(indices.shape[0]):
-        path = chains_dir / f"{CHAIN_CSV_PREFIX}{c:04d}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            pts = values[indices[c]]
-            for t in range(indices.shape[1]):
-                row = [c, t]
-                row += [repr(float(x)) for x in pts[t]]
-                row += [repr(float(energies[c, t])), int(accepted[c, t])]
-                writer.writerow(row)
+    for c in range(m):
+        with open(chains_dir / f"{CHAIN_CSV_PREFIX}{c:04d}.csv", "w", newline="") as fh:
+            fh.write(header + "\r\n")
+            for t0 in range(0, n, CSV_BLOCK_ROWS):
+                block = c, slice(t0, t0 + CSV_BLOCK_ROWS)
+                rows = zip(range(t0, n), labels[indices[block]].tolist(), energies[block].tolist(), accepted[block].tolist())
+                fh.write("".join(f"{c},{t},{','.join(row)},{e!r},{a:d}\r\n" for t, row, e, a in rows))
 
 
 def _scalar_metric_rows(config: ExperimentConfig, values, kept_idx, kept_energy, kept_accept):

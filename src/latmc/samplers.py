@@ -51,6 +51,7 @@ from scipy.special import ndtri
 from .errors import ContractError, InvalidStateError, NumericGuardError
 from .precondition import Preconditioner
 from .proposals import (
+    cdf_interval_rows,
     cdf_rows,
     over_relax_log_prob_rows,
     over_relax_rows_from_cdf,
@@ -231,8 +232,10 @@ class _Core:
 
     def forward_rows(self, cur: _Points, aux):
         """Forward proposal rows given the auxiliary point ``z`` (momentum-free
-        kernels) or the refreshed momentum ``v_half`` (momentum kernels)."""
-        return self._rows(cur, cur.S - aux if self.momentum else aux)
+        kernels) or the refreshed momentum ``v_half`` (momentum kernels); for
+        opdhams, the CDF rows and the CDF interval of the current index."""
+        rows = self._rows(cur, cur.S - aux if self.momentum else aux)
+        return (rows, cdf_interval_rows(rows, cur.idx)) if self.over_relaxed else rows
 
     def propose(self, cur: _Points, V, noise):
         """Proposed indices from one step's variates, with the auxiliary
@@ -250,10 +253,10 @@ class _Core:
             aux = eps * V + math.sqrt(1.0 - eps * eps) * self.pre.times(normals, "L_inv")
         rows = self.forward_rows(cur, aux)
         if self.over_relaxed:
-            beta = self.config.beta
-            idx_star = over_relax_rows_from_cdf(rows, cur.idx, beta, coord[..., 0], coord[..., 1])
+            (cdf, x0_interval), beta = rows, self.config.beta
+            idx_star = over_relax_rows_from_cdf(cdf, cur.idx, beta, coord[..., 0], coord[..., 1], x0_interval=x0_interval)
         else:
-            idx_star = sample_rows_inverse_cdf(np.exp(rows), coord)
+            idx_star = sample_rows_inverse_cdf(np.exp(rows), coord, in_place=True)
         return idx_star, aux, rows
 
     def log_ratio(self, cur: _Points, aux, rows_f, new: _Points) -> _Ratio:
@@ -274,8 +277,8 @@ class _Core:
             kin_new = 0.5 * (pre.times(aux - new.S, "L") ** 2).sum(axis=-1)
             kin_old = 0.5 * (pre.times(aux - cur.S, "L") ** 2).sum(axis=-1)
         if self.over_relaxed:
-            beta = self.config.beta
-            lq_f = over_relax_log_prob_rows(rows_f, cur.idx, new.idx, beta).sum(axis=-1)
+            beta, (cdf, x0_interval) = self.config.beta, rows_f
+            lq_f = over_relax_log_prob_rows(cdf, cur.idx, new.idx, beta, x0_interval=x0_interval).sum(axis=-1)
             lq_b = over_relax_log_prob_rows(self._rows(new, z_b), new.idx, cur.idx, beta).sum(axis=-1)
         else:
             lq_f = row_entries(rows_f, new.idx).sum(axis=-1)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -337,6 +339,46 @@ class TestRunExperiment:
         assert draws.shape == (cfg.burn_in + cfg.length, 2)
         for i in (0, 57, 499):
             assert abs(target.f(draws[i]) - energies[i]) < 1e-10
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_chain_csv_bytes_are_the_csv_writer_rendering(self, tmp_path, monkeypatch, block):
+        # the row loop chain CSVs were written by before they were written in
+        # blocks of rows: the reference rendering
+        def csv_writer_rendering(c, values, indices, energies, accepted):
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            d = indices.shape[2]
+            writer.writerow(["chain", "t"] + [f"s_{i + 1}" for i in range(d)] + ["energy", "accepted"])
+            pts = values[indices[c]]
+            for t in range(indices.shape[1]):
+                row = [c, t]
+                row += [repr(float(x)) for x in pts[t]]
+                row += [repr(float(energies[c, t])), int(accepted[c, t])]
+                writer.writerow(row)
+            return buf.getvalue().encode()
+
+        if block is not None:
+            monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", block)
+        written = {}
+        write = harness._write_chain_csvs
+
+        def capture(out_dir, config, values, indices, energies, accepted):
+            written.update(values=values, indices=indices, energies=energies, accepted=accepted)
+            return write(out_dir, config, values, indices, energies, accepted)
+
+        monkeypatch.setattr(harness, "_write_chain_csvs", capture)
+        cfg = base_config(tmp_path, target={"name": "discrete_gaussian", "d": 3, "k": 2, "sigma": 2.0, "rho": 0.5})
+        out = run_experiment(cfg)
+        values, indices = written["values"], written["indices"]
+        assert values.min() < 0.0 and indices.shape[2] >= 2
+        assert indices.shape[1] > harness.CSV_BLOCK_ROWS and indices.shape[1] % harness.CSV_BLOCK_ROWS
+        for c in range(cfg.chains):
+            path = out / "chains" / f"chain_{c:04d}.csv"
+            assert path.read_bytes() == csv_writer_rendering(c, **written)
+            draws, energies, accepted = read_chain_csv(path)
+            assert np.array_equal(draws, values[indices[c]])
+            assert np.array_equal(energies, written["energies"][c])
+            assert np.array_equal(accepted, written["accepted"][c])
 
     def test_quadratic_run_reports_unit_acceptance(self, tmp_path):
         cfg = base_config(tmp_path)

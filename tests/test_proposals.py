@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from latmc import proposals
 from latmc.errors import InvalidStateError, NumericGuardError
 from latmc.precondition import factorize, first_order_preconditioner, lambda_shift
 from latmc.proposals import (
+    LAW_BLOCK_ROWS,
     LOG_FLOOR,
+    cdf_interval_rows,
     cdf_rows,
     over_relax_conditional,
     over_relax_log_prob_rows,
@@ -258,6 +261,49 @@ class TestZeroWidthLimit:
                     assert got[row] == pytest.approx(want, abs=1e-12), (row, value)
 
 
+class TestLawInRowBlocks:
+    # the desk row shape, and more rows than two law blocks with a ragged third
+    SHAPES = [((10, 9), 4), ((2 * LAW_BLOCK_ROWS + 17,), 7)]
+    BETAS = [0.0, 1.0, 2.0, -1.0, 0.1, 0.3, 0.7, -0.9, 2.5]
+
+    @staticmethod
+    def value_major_cdf(rng, shape, K):
+        """CDF rows over C-contiguous value planes, with zero-width intervals
+        (zero masses) and intervals too narrow to survive near 1 (1e-17 masses
+        placed after the rest of the row)."""
+        pmf = rng.dirichlet(np.full(K, 0.5), size=shape)
+        pmf[rng.random(pmf.shape) < 0.15] = 0.0
+        top = rng.random(shape) < 0.3
+        pmf[top, -2:] = 1e-17
+        cdf = cdf_rows(np.moveaxis(np.ascontiguousarray(np.moveaxis(pmf, -1, 0)), 0, -1))
+        assert np.moveaxis(cdf, -1, 0).flags["C_CONTIGUOUS"]
+        return cdf
+
+    @pytest.mark.parametrize("shape, K", SHAPES)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_matches_oracle_and_takes_a_gathered_interval(self, rng, monkeypatch, shape, K, beta):
+        cdf = self.value_major_cdf(rng, shape, K)
+        x0 = rng.integers(0, K, size=shape)
+        lower, upper = interval = cdf_interval_rows(cdf, x0)
+        assert ((upper == lower) & (lower < 0.5)).any() and ((upper == lower) & (lower > 0.5)).any()
+        u0, u_tilde = rng.random(shape), rng.random(shape)
+        x1 = over_relax_rows_from_cdf(cdf, x0, beta, u0, u_tilde)
+        assert np.array_equal(over_relax_rows_from_cdf(cdf, x0, beta, u0, u_tilde, x0_interval=interval), x1)
+        for to in (x1, rng.integers(0, K, size=shape)):
+            got = over_relax_log_prob_rows(cdf, x0, to, beta)
+            assert np.array_equal(over_relax_log_prob_rows(cdf, x0, to, beta, x0_interval=interval), got)
+            with monkeypatch.context() as m:
+                m.setattr(proposals, "LAW_BLOCK_ROWS", x0.size)  # all rows in one block
+                assert np.array_equal(over_relax_log_prob_rows(cdf, x0, to, beta), got)
+            flat = [a.reshape(-1, *a.shape[x0.ndim:]) for a in (cdf, x0, to, np.exp(got))]
+            # about 200 rows spread over every block, the last row, and rows whose x0 interval is empty
+            empty = np.flatnonzero(upper == lower)
+            picks = [*range(0, x0.size, max(1, x0.size // 200)), x0.size - 1, *empty[:10]]
+            for row in picks:
+                want = _conditional_from_cdf(flat[0][row], int(flat[1][row]), int(flat[2][row]), beta)
+                assert flat[3][row] == pytest.approx(want, abs=1e-12), row
+
+
 class TestCdfRows:
     def test_monotone_when_running_sum_overshoots(self):
         # the running sum passes 1 before the last entry
@@ -349,6 +395,10 @@ class TestValueMajorRows:
         assert np.array_equal(overwritten, cdf)
         u = rng.random(shape)
         assert np.array_equal(sample_rows_inverse_cdf(pmf, u), trailing_inverse_cdf(pmf, u))
+        assert np.array_equal(pmf, np.exp(rows))  # the default leaves its input as it was
+        owned = np.exp(rows)
+        assert np.array_equal(sample_rows_inverse_cdf(owned, u, in_place=True), trailing_inverse_cdf(pmf, u))
+        assert np.array_equal(owned, cdf)
         idx = rng.integers(0, K, size=shape)
         assert np.array_equal(row_entries(rows, idx), trailing_entries(rows, idx))
         entries = proposal_log_entries(*args, idx)
