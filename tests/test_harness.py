@@ -342,8 +342,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("block", [None, 7])
     def test_chain_csv_bytes_are_the_csv_writer_rendering(self, tmp_path, monkeypatch, block):
-        # the row loop chain CSVs were written by before they were written in
-        # blocks of rows: the reference rendering
+        # the reference rendering: the row-by-row csv.writer loop that wrote
+        # chain CSVs before they were written in blocks of rows
         def csv_writer_rendering(c, values, indices, energies, accepted):
             buf = io.StringIO(newline="")
             writer = csv.writer(buf)
