@@ -152,6 +152,7 @@ def _window_gain(start, rem, p0, ends, mass):
     mean = np.floor(f)
     f -= mean
     mean *= mass
+    # minimum(maximum(...)) is np.clip to the bit here, since no operand is ever -0
     mean += np.minimum(np.maximum(f, lo), hi)
     mean -= lo
     u = (ends[:, None] + _PERIODS)[:, :, None] - f  # (end, period, window, row)
