@@ -75,16 +75,16 @@ def exact_moments(pmf: np.ndarray, values: np.ndarray):
     """First and second moments of a joint table over a shared value set.
 
     Returns (mean (d,), second (d,), cross (d, d) with E[s_i s_j] off the
-    diagonal).
+    diagonal).  Each pair is summed once, for i < j, and mirrored into
+    ``cross[j, i]``.
     """
     d = pmf.ndim
     margs = [marginal(pmf, (i,)) for i in range(d)]
     mean = np.array([marg @ values for marg in margs])
     second = np.array([marg @ values**2 for marg in margs])
-    cross = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            cross[i, j] = second[i] if i == j else values @ marginal(pmf, (i, j)) @ values
+    cross = np.diag(second)
+    for i, j in zip(*np.triu_indices(d, k=1)):
+        cross[i, j] = cross[j, i] = values @ marginal(pmf, (i, j)) @ values
     return mean, second, cross
 
 

@@ -1,12 +1,13 @@
 """Preconditioner calibration: coupling-matrix estimation from burn-in samples,
-diagonal shift selection, and condition-number-driven factorization."""
+diagonal shift selection, and condition-number-driven factorization.  A
+preconditioner stores each matrix once, as its diagonal where it is one; the
+W = 0 one is built in closed form.  Only the two fits import scipy.linalg."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lstsq, solve_continuous_lyapunov
 
 from .errors import CalibrationError, RankDeficiencyError
 from .targets import TargetModel
@@ -18,38 +19,49 @@ RANK_TOL = 1e-10
 COND_THRESHOLD = 100.0
 
 
-@dataclass(frozen=True)
+def _compact(matrix: np.ndarray) -> np.ndarray:
+    """The diagonal of ``matrix`` if every off-diagonal entry is +0.0 (all bits
+    zero), else ``matrix`` itself; a 1-d input is a diagonal already."""
+    diag = np.diag(matrix).copy() if matrix.ndim == 2 else matrix
+    nonzero_bits = lambda a: np.count_nonzero(a.view(np.uint64))
+    return diag if nonzero_bits(matrix) == nonzero_bits(diag) else matrix
+
+
 class Preconditioner:
     """Symmetric coupling matrix W, diagonal shift lam (D = lam I), and a
     factor L with W + lam I = L L^T, plus the log-determinant; W + lam I and
-    the inverse transpose of L are derived here."""
+    the inverse transpose of L are derived here.  ``W`` and ``L`` are given
+    ``(d, d)`` or as ``(d,)`` diagonals.  W, W + lam I, L and L^{-1} are each
+    stored once, as a diagonal where :func:`_compact` finds one, else dense;
+    the ``(d, d)`` attributes of a stored diagonal are built on access.
+    """
 
-    W: np.ndarray
-    lam: float
-    L: np.ndarray
-    factorization_kind: str
-    logdet: float = 0.0
-    W_shifted: np.ndarray = field(init=False, repr=False)
-    L_inv_T: np.ndarray = field(init=False, repr=False)
+    def __init__(self, W, lam: float, L, factorization_kind: str, logdet: float = 0.0):
+        w, ell = np.asarray(W, dtype=float), np.asarray(L, dtype=float)
+        shifted = w + lam if w.ndim == 1 else w + lam * np.eye(w.shape[0])
+        # a diagonal L is positive, and 1 / l has the bits of LAPACK's inverse, +0.0 off it
+        l_inv = 1.0 / ell if ell.ndim == 1 else np.linalg.inv(ell.T).T
+        self.lam, self.factorization_kind, self.logdet = lam, factorization_kind, logdet
+        self._factors = {k: _compact(m) for k, m in (("W", w), ("W_shifted", shifted), ("L", ell), ("L_inv", l_inv))}
 
-    def __post_init__(self):
-        object.__setattr__(self, "W_shifted", self.W + self.lam * np.eye(self.W.shape[0]))
-        object.__setattr__(self, "L_inv_T", np.linalg.inv(self.L.T))
-        factors = {"W": self.W, "W_shifted": self.W_shifted, "L": self.L, "L_inv": self.L_inv_T.T}
-        for name, matrix in factors.items():
-            diag = np.diag(matrix).copy()
-            factors[name] = matrix, diag if np.count_nonzero(matrix) == np.count_nonzero(diag) else None
-        object.__setattr__(self, "_factors", factors)
+    def _dense(self, name: str) -> np.ndarray:
+        factor = self._factors[name]
+        return np.diag(factor) if factor.ndim == 1 else factor
+
+    W = property(lambda self: self._dense("W"))
+    W_shifted = property(lambda self: self._dense("W_shifted"))
+    L = property(lambda self: self._dense("L"))
+    L_inv_T = property(lambda self: self._dense("L_inv").T)
 
     @property
     def dim(self) -> int:
-        return self.W.shape[0]
+        return self._factors["W"].shape[0]
 
     def times(self, x, name: str) -> np.ndarray:
         """``x @ M`` for M named ``"W"``, ``"W_shifted"``, ``"L"`` or ``"L_inv"`` (``L_inv_T.T``);
-        a diagonal M, noted at construction, multiplies elementwise to the same values."""
-        matrix, diag = self._factors[name]
-        return x @ matrix if diag is None else x * diag
+        a stored diagonal multiplies elementwise to the same values."""
+        factor = self._factors[name]
+        return x * factor if factor.ndim == 1 else x @ factor
 
     def to_dict(self) -> dict:
         return {
@@ -113,6 +125,8 @@ def calibrate_w_gradient_diff(sample: CalibrationSample) -> np.ndarray:
     (Ds^T Ds) W + W (Ds^T Ds) = Ds^T Df + Df^T Ds with the Bartels-Stewart
     continuous-Lyapunov solver.
     """
+    from scipy.linalg import solve_continuous_lyapunov
+
     ds, df, _ = sample.differences()
     d = ds.shape[1]
     if ds.shape[0] < d:
@@ -136,6 +150,8 @@ def calibrate_w_energy_diff(sample: CalibrationSample) -> np.ndarray:
     regressed on the half-vectorized outer product of the move, solved by a
     rank-revealing orthogonal factorization.
     """
+    from scipy.linalg import lstsq
+
     ds, _, keep = sample.differences()
     d = ds.shape[1]
     rows, cols = np.triu_indices(d)
@@ -205,9 +221,15 @@ def factorize(w: np.ndarray, lam: float, cond_threshold: float = COND_THRESHOLD)
 
 
 def first_order_preconditioner(dim: int, delta: float, cond_threshold: float = COND_THRESHOLD) -> Preconditioner:
-    """The W = 0 specialization: lam = delta and L = sqrt(delta) I."""
-    w = np.zeros((dim, dim))
-    return factorize(w, lambda_shift(w, delta), cond_threshold)
+    """The W = 0 specialization: lam = delta and L = sqrt(delta) I, as diagonals
+    with the bits of ``factorize(np.zeros((dim, dim)), delta)``.  At a
+    ``cond_threshold`` of 1 or below (an anti-diagonal eigen factor) and for a
+    delta that ``lambda_shift`` rejects, that factorization runs instead."""
+    if not (cond_threshold > 1.0 and 0.0 < delta < np.inf):
+        w = np.zeros((dim, dim))
+        return factorize(w, lambda_shift(w, delta), cond_threshold)
+    lam = np.full(dim, float(delta))
+    return Preconditioner(np.zeros(dim), float(delta), np.sqrt(lam), "cholesky", float(np.log(lam).sum()))
 
 
 def exact_quadratic_preconditioner(

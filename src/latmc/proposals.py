@@ -11,9 +11,10 @@ value planes over axis 0, never a short trailing axis; a row sum adds the
 planes in index order; single entries are taken at flat positions.  The
 over-relaxation law is computed once, in closed form: a difference of window
 means of the landing measure over the arc of reflection starts.  It gathers
-each CDF interval once (the draw's x0 interval is passed on), reads only the x1
-interval at whole-period beta, and at fractional beta evaluates both window
-means and both periods in one stacked pass over blocks of ``LAW_BLOCK_ROWS`` rows.
+each CDF interval once (the draw's x0 interval is passed on; otherwise x0's and
+x1's come from one gather), reads only the x1 interval at whole-period beta,
+and at fractional beta evaluates both window means and both periods in one
+stacked pass over blocks of ``LAW_BLOCK_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -131,10 +132,12 @@ def row_entries(rows, idx) -> np.ndarray:
 
 def cdf_interval_rows(cdf, idx) -> np.ndarray:
     """CDF interval [lower, upper) of value ``idx`` in each row, stacked on a new
-    first axis: entries ``idx - 1`` (0 at ``idx = 0``) and ``idx``."""
+    first axis: entries ``idx - 1`` (0 at ``idx = 0``) and ``idx``.  ``idx`` has
+    the rows' leading shape, or more leading axes to gather several index sets."""
     idx = np.asarray(idx)
-    upper_at = idx * idx.size + np.arange(idx.size).reshape(idx.shape)
-    ends = np.take(_planes(cdf), (upper_at - idx.size, upper_at))
+    n = cdf.size // cdf.shape[-1]
+    upper_at = idx * n + np.arange(n).reshape(cdf.shape[:-1])
+    ends = np.take(_planes(cdf), (upper_at - n, upper_at))
     np.copyto(ends[0], 0.0, where=idx == 0)
     return ends
 
@@ -178,12 +181,16 @@ def _over_relax_prob_rows(cdf, x0_indices, x1_indices, beta: float, x0_interval=
     At ``beta = 0`` the move is the reflection w1 = (-w0) mod 1; a zero-width x0
     interval takes the point-interval limit, an indicator of where its end b lands.
     """
-    lo, hi = ends = cdf_interval_rows(cdf, x1_indices)
     span = abs(beta)
     full, rem = divmod(span, 1.0)
     if beta != 0.0 and rem == 0.0:
+        lo, hi = cdf_interval_rows(cdf, x1_indices)
         return full * (hi - lo) / span
-    a, b = cdf_interval_rows(cdf, x0_indices) if x0_interval is None else x0_interval
+    if x0_interval is None:  # both intervals in one gather
+        ends, (a, b) = cdf_interval_rows(cdf, np.stack((x1_indices, x0_indices))).swapaxes(0, 1)
+    else:
+        ends, (a, b) = cdf_interval_rows(cdf, x1_indices), x0_interval
+    lo, hi = ends
     p0 = b - a
     if beta == 0.0:
         # 1 - x is exact for x in [1/2, 1] (Sterbenz): reflect the x0 interval's part

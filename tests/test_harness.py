@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -702,3 +705,53 @@ class TestDeskConfigEndToEnd:
         assert float(table[("acceptance_rate", "mean")]) == 1.0
         tv_rows = (out / "tv.csv").read_text().splitlines()
         assert any(r.startswith("tv,avg2d,") for r in tv_rows)
+
+
+SCIPY_LINALG_SCRIPT = """
+import sys
+from pathlib import Path
+
+import numpy as np
+import yaml
+
+import latmc, latmc.cli
+from latmc.harness import ExperimentConfig, build_preconditioner, build_target, chain_rng
+from latmc.samplers import run_chains
+
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+payload = yaml.safe_load((configs / "clock_potts_full.yaml").read_text())
+config = ExperimentConfig.from_dict({**payload, "calibration": {"method": "none"}})
+target = build_target(config.target)
+pre = build_preconditioner(config, target)[0]
+rngs = [chain_rng(config.base_seed, i) for i in range(config.chains)]
+init = np.stack([g.integers(0, target.lattice.n_values, size=target.lattice.dim) for g in rngs])
+run_chains("pavg", target, pre, config.sampler, 3, rngs, init)
+assert "scipy.linalg" not in sys.modules, "first-order run_chains"
+
+payload = yaml.safe_load((configs / "discrete_gaussian_desk.yaml").read_text())
+payload.update(length=300, burn_in=50, checkpoints=[300], output_dir=str(out))
+(out.parent / "gauss.yaml").write_text(yaml.safe_dump(payload))
+assert latmc.cli.main(["run", "-c", str(out.parent / "gauss.yaml")]) == 0
+assert latmc.cli.main(["metrics", str(out)]) == 0
+assert "scipy.linalg" not in sys.modules, "latmc run and metrics"
+
+from latmc.precondition import CalibrationSample, calibrate_w_gradient_diff
+from latmc.targets import QuadraticTarget, integer_lattice
+
+w_true = np.array([[-1.0, 0.3], [0.3, -0.5]])
+quad = QuadraticTarget(integer_lattice(2, 3), w_true, np.zeros(2))
+states = np.array([[0, 0], [1, 0], [1, 1], [0, 2], [-1, 1], [2, -1]], dtype=float)
+w = calibrate_w_gradient_diff(CalibrationSample.from_states(quad, states))
+assert np.abs(w - w_true).max() < 1e-10
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_scipy_linalg_loads_only_for_a_fit(tmp_path):
+    # only the fitted calibrations call scipy.linalg; other runs do not import it
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_LINALG_SCRIPT, str(CONFIGS), str(tmp_path / "gauss")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

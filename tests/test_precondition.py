@@ -1,3 +1,6 @@
+import json
+import pickle
+
 import numpy as np
 import pytest
 
@@ -227,7 +230,7 @@ class TestDiagonalProducts:
     def check(self, pre, rng, diagonal):
         x = rng.normal(size=(7, pre.dim)) * 5.0
         for name, dense in self.DENSE.items():
-            assert (pre._factors[name][1] is not None) == (name in diagonal), name
+            assert (pre._factors[name].ndim == 1) == (name in diagonal), name
             assert np.array_equal(pre.times(x, name), x @ dense(pre)), name
             assert np.array_equal(pre.times(x[0], name), x[0] @ dense(pre)), name
 
@@ -256,3 +259,52 @@ class TestDiagonalProducts:
     def test_round_trip_keeps_the_diagonal_products(self, rng):
         pre = first_order_preconditioner(5, 0.7)
         self.check(Preconditioner.from_dict(pre.to_dict()), rng, set(self.DENSE))
+
+
+class TestClosedFormFirstOrder:
+    """``first_order_preconditioner`` builds diagonals in closed form, with the
+    bits the factorization of a zero W gives."""
+
+    NAMES = ("W", "W_shifted", "L", "L_inv")
+
+    def assert_same(self, pre, ref, rng):
+        for name in ("W", "W_shifted", "L", "L_inv_T"):
+            a, b = getattr(pre, name), getattr(ref, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert pre.lam == ref.lam and type(pre.lam) is type(ref.lam)
+        assert pre.logdet == ref.logdet and pre.factorization_kind == ref.factorization_kind
+        assert json.dumps(pre.to_dict()) == json.dumps(ref.to_dict())
+        x = rng.normal(size=(5, pre.dim)) * 4.0
+        for name in self.NAMES:
+            assert pre.times(x, name).tobytes() == ref.times(x, name).tobytes(), name
+
+    @staticmethod
+    def factorized(d, delta, threshold=100.0):
+        w = np.zeros((d, d))
+        return factorize(w, lambda_shift(w, delta), threshold)
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 400])
+    def test_bits_of_the_factorized_zero_matrix(self, d, rng):
+        for delta in (0.058, 0.3, 1.0, 2, 15.5, 7.123456789, 1e-300):
+            self.assert_same(first_order_preconditioner(d, delta), self.factorized(d, delta), rng)
+        self.assert_same(first_order_preconditioner(d, 0.4, 1.5), self.factorized(d, 0.4, 1.5), rng)
+
+    def test_holds_no_square_array(self):
+        pre = first_order_preconditioner(400, 15.5)
+        stored = [v for v in vars(pre).values() if isinstance(v, np.ndarray)]
+        stored += list(pre._factors.values())
+        assert stored and all(a.shape == (400,) for a in stored)
+
+    def test_pickle_round_trip(self, rng):
+        # workers > 1 send the preconditioner to each worker process
+        pre = first_order_preconditioner(8, 0.7)
+        back = pickle.loads(pickle.dumps(pre))
+        assert all(a.ndim == 1 for a in back._factors.values())
+        self.assert_same(back, pre, rng)
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.5])
+    def test_threshold_at_most_one_keeps_the_eigen_factor(self, threshold, rng):
+        pre = first_order_preconditioner(4, 0.3, threshold)
+        assert pre.factorization_kind == "eigen"
+        assert np.count_nonzero(pre.L - np.diag(np.diag(pre.L))) > 0  # anti-diagonal
+        self.assert_same(pre, self.factorized(4, 0.3, threshold), rng)

@@ -1,10 +1,14 @@
 import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from latmc import targets
 from latmc.errors import EnumerationBudgetError
+from latmc.harness import ExperimentConfig, build_target
 from latmc.targets import (
     ClockPottsTarget,
     LatticeSpec,
@@ -18,6 +22,9 @@ from latmc.targets import (
 )
 
 from conftest import finite_diff_grad
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DESK_CONFIGS = ("discrete_gaussian_desk", "quadratic_mixture_desk", "clock_potts_desk")
 
 
 class TestLatticeSpec:
@@ -278,3 +285,65 @@ class TestEnumerateJoint:
         t = discrete_gaussian(8, 10, 5.0, 0.9)  # 21^8 states
         with pytest.raises(EnumerationBudgetError):
             enumerate_joint(t)
+
+
+def chunked_enumeration(target):
+    """The table built in 32,768-state chunks of unravelled indices, then
+    normalized out of place: the construction the blocked one replaced."""
+    K, d = target.lattice.n_values, target.lattice.dim
+    shape, total = (K,) * d, K**d
+    energies = np.empty(total)
+    chunk = 1 << 15
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        idx = np.unravel_index(np.arange(start, stop), shape)
+        energies[start:stop] = target.evaluate_indices(np.stack(idx, axis=1), grad=False)[1]
+    table = np.exp(energies - energies.max()).reshape(shape)
+    return table / table.sum()
+
+
+def desk_target(name):
+    return build_target(ExperimentConfig.from_yaml(CONFIGS / f"{name}.yaml").target)
+
+
+class TestBlockedEnumeration:
+    def assert_same_bits(self, target):
+        table, oracle = enumerate_joint(target), chunked_enumeration(target)
+        assert table.shape == oracle.shape and table.dtype == oracle.dtype
+        assert table.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("name", DESK_CONFIGS)
+    def test_desk_targets(self, name):
+        self.assert_same_bits(desk_target(name))
+
+    @pytest.mark.parametrize("d, k", [(1, 4), (3, 2), (4, 3), (5, 3), (6, 3)])
+    def test_below_at_and_above_one_block(self, d, k, rng, monkeypatch):
+        # K = 2k + 1 against 125-row blocks: 9 states (part of one block), 5^3 (one
+        # block), 7^4, 7^5 and 7^6 (many)
+        monkeypatch.setattr(targets, "ENUMERATION_BLOCK_ROWS", 125)
+        w = rng.normal(size=(d, d))
+        self.assert_same_bits(QuadraticTarget(integer_lattice(d, k), 0.1 * (w + w.T), rng.normal(size=d)))
+
+    def test_one_coordinate(self):
+        self.assert_same_bits(discrete_gaussian(1, 7, 2.0, 0.0))
+
+    def test_more_values_than_block_rows(self, monkeypatch):
+        # a block keeps every value of the last coordinate, past the row cap
+        monkeypatch.setattr(targets, "ENUMERATION_BLOCK_ROWS", 8)
+        self.assert_same_bits(quadratic_mixture(d=3, k=5, M=2, means=[[-1.0] * 3, [2.0] * 3], variances=[1.5, 2.5]))
+        self.assert_same_bits(clock_potts(2, 9, -1.0))
+
+    def test_more_values_than_block_rows_at_the_shipped_cap(self):
+        k = targets.ENUMERATION_BLOCK_ROWS // 2 + 50
+        self.assert_same_bits(discrete_gaussian(1, k, 400.0, 0.0))
+        self.assert_same_bits(QuadraticTarget(integer_lattice(2, 30), np.array([[-0.02, 0.01], [0.01, -0.03]]), np.ones(2)))
+
+    def test_peak_memory_is_the_table_plus_one_block(self):
+        target = desk_target("clock_potts_desk")
+        tracemalloc.start()
+        try:
+            table = enumerate_joint(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + 2**20
