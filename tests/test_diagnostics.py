@@ -13,7 +13,7 @@ from latmc.diagnostics import (
     tv_distance,
 )
 from latmc.errors import SupportMismatchError, UndefinedESSError
-from latmc.targets import QuadraticTarget, enumerate_joint, integer_lattice
+from latmc.targets import QuadraticTarget, enumerate_joint, integer_lattice, marginal
 
 
 class TestTVDistance:
@@ -110,6 +110,21 @@ class TestACF:
             acf(np.ones(5), 10)
         with pytest.raises(ValueError):
             acf(np.ones(50), 3)
+
+
+class TestExactMoments:
+    def test_cross_moments_match_every_ordered_pair(self, rng):
+        w = rng.normal(size=(3, 3))
+        t = QuadraticTarget(integer_lattice(3, 2), -np.eye(3) + 0.1 * (w + w.T), rng.normal(size=3))
+        pmf, values = enumerate_joint(t), t.lattice.values
+        mean, second, cross = exact_moments(pmf, values)
+        for i, j in itertools.product(range(3), repeat=2):
+            # the loop over ordered pairs it replaced, summing the (i, j) marginal
+            expected = second[i] if i == j else values @ marginal(pmf, (i, j)) @ values
+            if i <= j:
+                assert cross[i, j] == expected
+            else:
+                assert cross[i, j] == cross[j, i] == pytest.approx(expected, rel=1e-14, abs=1e-15)
 
 
 class TestMomentReport:
