@@ -259,7 +259,7 @@ def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_c
         info.update(burn_in_steps=steps, burn_in_kernel=kernel)
         burn_cfg = replace(config.sampler, r=config.calibration["burn_in_r"])
         rng = chain_rng(config.base_seed, CALIBRATION_STREAM)
-        init = rng.integers(0, lattice.n_values, size=(1, lattice.dim))
+        init = lattice.random_indices([rng])
         pre = None if kernel == "metropolis" else first_order_preconditioner(
             lattice.dim, burn_cfg.delta, threshold)
         result = run_chains(kernel, target, pre, burn_cfg, steps, [rng], init)
@@ -286,10 +286,8 @@ def _run_chain_block(config: ExperimentConfig, pre, chain_lo: int, chain_hi: int
     """Worker entry: run the chains ``chain_lo..chain_hi-1`` of a validated config."""
     target = build_target(config.target)
     rngs = [chain_rng(config.base_seed, i) for i in range(chain_lo, chain_hi)]
-    lattice = target.lattice
-    init = np.stack([g.integers(0, lattice.n_values, size=lattice.dim) for g in rngs])
     total = config.burn_in + config.length
-    result = run_chains(config.kernel, target, pre, config.sampler, total, rngs, init)
+    result = run_chains(config.kernel, target, pre, config.sampler, total, rngs, target.lattice.random_indices(rngs))
     return result.indices, result.energies, result.accepted
 
 

@@ -64,10 +64,11 @@ class Preconditioner:
         return x * factor if factor.ndim == 1 else x @ factor
 
     def to_dict(self) -> dict:
+        """The record, W and L each as stored: a diagonal as its d entries, a dense matrix as rows."""
         return {
-            "W": self.W.tolist(),
+            "W": self._factors["W"].tolist(),
             "lambda": self.lam,
-            "L": self.L.tolist(),
+            "L": self._factors["L"].tolist(),
             "kind": self.factorization_kind,
             "logdet": self.logdet,
         }

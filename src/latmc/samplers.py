@@ -13,10 +13,11 @@ core evaluates the target once per point, at lattice indices, through
 ``TargetModel.evaluate_indices``; ``f``/``grad_f``/``*_batch`` serve
 off-lattice points.
 
-Randomness consumption per step is fixed so that shared-seed comparisons are
-well defined.  Each chain draws from its own generator, and every step takes
-the same number of uniform doubles from it, ``n_normals + n_coord + 1``, in
-this order:
+Randomness consumption is fixed so that shared-seed comparisons are well
+defined.  Each chain draws from its own generator: its start (d indices from
+``LatticeSpec.random_indices``), for momentum kernels the d doubles of the
+initial momentum, then each step's ``n_normals + n_coord + 1`` uniform
+doubles, in this order:
 
 * ``git_gibbs`` / ``pavg``: d refresh normals, d coordinate uniforms
   (ascending), one acceptance uniform (drawn and ignored by ``git_gibbs``).
@@ -30,13 +31,14 @@ A refresh normal takes one double: :func:`standard_normals` maps
 ``u = k 2^-53`` to ``ndtri(u + 2^-54)``.  At exactly ``epsilon = 1`` the
 refresh is degenerate (the intermediate momentum equals the current
 momentum) and the momentum kernels take no refresh doubles.  The initial
-momentum of :func:`momentum_init` takes d doubles the same way, so a chain's
+momentum takes its d doubles the same way, so after the start a chain's
 stream is nothing but ``random()`` doubles.  Because a step's width is
 fixed, :func:`run_chains` draws whole blocks of steps with one call per
 chain; the block size bounds memory only and cannot change a trajectory.
 
-:func:`step_kernel` accepts an optional pre-drawn ``noise`` tuple in the
-same order, which substitutes for the generator draws.
+:func:`step_kernel` takes an optional ``noise`` triple in place of the
+generator draws: one step's ``(normals or None, coord, acc)`` for one chain,
+as :func:`_draw_noise` yields them (normals None where it draws none).
 """
 
 from __future__ import annotations
@@ -318,11 +320,9 @@ def step_kernel(kernel_id: str, state: ChainState, target: TargetModel, pre, con
         raise InvalidStateError("momentum kernel requires a state with momentum")
     if noise is None:
         drawn = _draw_noise(kernel_id, [rng], target.lattice.dim, config.epsilon, 1)
-        noise = tuple(None if x is None else x[0] for x in drawn)
-    else:  # metropolis noise has no normals; at epsilon = 1 they may be None
-        *normals, coord, acc_u = noise
-        normals = np.asarray(normals[0])[None] if normals and normals[0] is not None else None
-        noise = (normals, np.asarray(coord)[None], np.array([acc_u]))
+        noise = tuple(None if x is None else x[0, 0] for x in drawn)
+    normals, coord, acc_u = noise
+    noise = (None if normals is None else np.asarray(normals)[None], np.asarray(coord)[None], np.array([acc_u]))
     cur = core.evaluate(target.lattice.index_of(state.s)[None])
     V = None if state.v is None else np.asarray(state.v)[None]
     nxt, V, accepted, delta, idx_star = core.step(cur, V, noise)

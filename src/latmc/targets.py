@@ -50,8 +50,12 @@ class LatticeSpec:
             raise ValueError("point is not on the lattice")
         return idx
 
+    def random_indices(self, rngs) -> np.ndarray:
+        """The first draw of every chain: one uniform start per generator, ``(len(rngs), dim)``."""
+        return np.stack([g.integers(0, self.n_values, size=self.dim) for g in rngs])
+
     def random_point(self, rng) -> np.ndarray:
-        return self.values[rng.integers(0, self.n_values, size=self.dim)]
+        return self.values[self.random_indices([rng])[0]]
 
 
 class TargetModel:

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import ConfigError, UndefinedESSError
 from .diagnostics import ess_multichain
 from .samplers import MOMENTUM_KERNELS, SamplerConfig, run_chains
@@ -20,9 +18,7 @@ def _probe_run(kernel_id, target, pre, config, chains, length, rng, burn_in=0):
     """Short lockstep run returning (acceptance rate, energy ESS or None),
     both measured after the probe burn-in."""
     child = rng.spawn(chains)
-    lattice = target.lattice
-    init = np.stack([g.integers(0, lattice.n_values, size=lattice.dim) for g in child])
-    result = run_chains(kernel_id, target, pre, config, burn_in + length, child, init)
+    result = run_chains(kernel_id, target, pre, config, burn_in + length, child, target.lattice.random_indices(child))
     rate = float(result.accepted[:, burn_in:].mean())
     try:
         ess = ess_multichain(result.energies[:, burn_in:])

@@ -308,3 +308,27 @@ class TestClosedFormFirstOrder:
         assert pre.factorization_kind == "eigen"
         assert np.count_nonzero(pre.L - np.diag(np.diag(pre.L))) > 0  # anti-diagonal
         self.assert_same(pre, self.factorized(4, 0.3, threshold), rng)
+
+    def test_json_record_restores_the_stored_diagonals(self, rng):
+        pre = first_order_preconditioner(400, 15.5)
+        back = Preconditioner.from_dict(json.loads(json.dumps(pre.to_dict())))
+        assert all(back._factors[name].shape == (400,) for name in self.NAMES)
+        self.assert_same(back, pre, rng)
+
+
+class TestRecordForm:
+    """``to_dict`` records W and L as stored: a diagonal as its d entries, a
+    dense matrix as rows."""
+
+    def test_first_order_record_holds_diagonals(self):
+        record = first_order_preconditioner(400, 15.5).to_dict()
+        assert record["W"] == [0.0] * 400
+        assert record["L"] == [float(np.sqrt(15.5))] * 400
+        assert len(json.dumps(record)) < 20_000
+
+    def test_dense_record_keeps_its_bytes(self):
+        pre = exact_quadratic_preconditioner(discrete_gaussian(8, 10, 3.0, 0.5), 0.058)
+        assert pre._factors["W"].ndim == pre._factors["L"].ndim == 2
+        dense = {"W": pre.W.tolist(), "lambda": pre.lam, "L": pre.L.tolist(),
+                 "kind": pre.factorization_kind, "logdet": pre.logdet}
+        assert json.dumps(pre.to_dict()) == json.dumps(dense)

@@ -658,3 +658,28 @@ def test_unit_epsilon_keeps_momentum_and_skips_refresh_draw(rng):
     g_ref.random(2)   # coordinate uniforms
     g_ref.random()    # acceptance uniform
     assert g_used.random() == g_ref.random()
+
+
+@pytest.mark.parametrize("kernel", ["metropolis", "vpdhams"])
+def test_noise_without_normals_matches_the_drawn_step(kernel, rng):
+    # a (None, coord, acc) noise triple drawn from a twin generator takes the
+    # step that the generator takes: metropolis and vpdhams at epsilon = 1
+    # draw no refresh normals
+    t = small_mixture()
+    pre = None if kernel == "metropolis" else tilted_preconditioner(2)
+    cfg = SamplerConfig(epsilon=1.0, delta=0.35, phi=0.3, r=2)
+    s0 = t.lattice.random_point(rng)
+    drawn = given = ChainState(s0, None if pre is None else momentum_init(pre, rng))
+    g, twin = chain_rng(321, 0), chain_rng(321, 0)
+    accepted = 0
+    for _ in range(200):
+        u = twin.random(3)  # two coordinate uniforms, one acceptance uniform
+        a = step_kernel(kernel, drawn, t, pre, cfg, g)
+        b = step_kernel(kernel, given, t, pre, cfg, None, noise=(None, u[:2], u[2]))
+        assert np.array_equal(a.proposal, b.proposal) and np.array_equal(a.next.s, b.next.s)
+        assert (a.next.v is b.next.v is None) if pre is None else np.array_equal(a.next.v, b.next.v)
+        assert (a.accepted, a.log_accept_ratio) == (b.accepted, b.log_accept_ratio)
+        accepted += a.accepted
+        drawn, given = a.next, b.next
+    assert g.random() == twin.random()
+    assert 0 < accepted < 200

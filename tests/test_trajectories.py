@@ -5,7 +5,11 @@ new row layout, a faster reduction) fails here when it does not.
 Each shape runs every kernel that applies to it, and opdhams at four betas
 (the whole-period, reflection and two fractional laws), with the config's
 own sampler block, calibration (overridden where SHAPES says), seed and
-chain streams, for a few steps.
+chain streams, for a few steps.  Every chain starts from
+``LatticeSpec.random_indices``, as the commands' chains do, so the digests pin
+that start rule too.  Two streams that no trajectory digest covers are pinned
+as well: the calibration burn-in sample (its states, as the fit receives them)
+and the tune probe runs (indices and accept flags of every probe).
 Energies are left out: their last bits may follow the platform's vectorised
 ``exp``/``cos``, while indices and flags do not in practice.
 """
@@ -19,6 +23,8 @@ import numpy as np
 import pytest
 import yaml
 
+import latmc.harness as harness
+import latmc.tuning as tuning
 from latmc.harness import ExperimentConfig, build_preconditioner, build_target, chain_rng
 from latmc.samplers import run_chains
 
@@ -72,12 +78,16 @@ DIGESTS = {
 }
 
 
+def _config(name, **overrides):
+    payload = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    return ExperimentConfig.from_dict({**payload, **overrides})
+
+
 @lru_cache(maxsize=None)
 def _setup(shape):
     """Config, target and configured-stepsize preconditioner of a shape."""
     name, _, overrides = SHAPES[shape]
-    payload = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
-    config = ExperimentConfig.from_dict({**payload, **overrides})
+    config = _config(name, **overrides)
     target = build_target(config.target)
     return config, target, build_preconditioner(config, target)[0]
 
@@ -86,13 +96,17 @@ def _fingerprint(shape, kernel, beta):
     config, target, pre = _setup(shape)
     sampler = config.sampler if beta is None else replace(config.sampler, beta=beta)
     rngs = [chain_rng(config.base_seed, i) for i in range(config.chains)]
-    lattice = target.lattice
-    init = np.stack([g.integers(0, lattice.n_values, size=lattice.dim) for g in rngs])
     pre = None if kernel == "metropolis" else pre
+    init = target.lattice.random_indices(rngs)
     result = run_chains(kernel, target, pre, sampler, SHAPES[shape][1], rngs, init)
-    digest = hashlib.sha256(result.indices.astype("<i4").tobytes())
-    digest.update(result.accepted.astype(np.uint8).tobytes())
+    digest = hashlib.sha256()
+    _update(digest, result)
     return digest.hexdigest()
+
+
+def _update(digest, result):
+    digest.update(result.indices.astype("<i4").tobytes())
+    digest.update(result.accepted.astype(np.uint8).tobytes())
 
 
 def _case_id(shape, kernel, beta):
@@ -109,3 +123,46 @@ CASES = [
 @pytest.mark.parametrize("shape, kernel, beta", CASES)
 def test_trajectory_fingerprint(shape, kernel, beta):
     assert _fingerprint(shape, kernel, beta) == DIGESTS[_case_id(shape, kernel, beta)]
+
+
+# config -> (fit the burn-in sample feeds, sha256 of its states)
+CALIBRATION_DIGESTS = {
+    "clock_potts_desk": ("calibrate_w_gradient_diff", "ccdf70ecba8d6f402709caa5284c05caad8068272c72f7d55da4e7924ee23d47"),
+    "quadratic_mixture_desk": ("calibrate_w_energy_diff", "cbc80fe81984ec8de134234a3a126ec61e1fdecabee1a9de51624784a5cf0ffa"),
+}
+# every clock desk tune probe at probe_length 40 (burn-in 4), in probe order
+TUNE_PROBE_DIGEST = "8de8d21e3f15c69750ca3416765ca011faba46418a00b669ca9d0bc2dded89ad"
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATION_DIGESTS))
+def test_calibration_sample_fingerprint(name, monkeypatch):
+    fit, expected = CALIBRATION_DIGESTS[name]
+    seen = []
+    real = getattr(harness, fit)
+
+    def record(sample):
+        seen.append(hashlib.sha256(sample.states.astype("<f8").tobytes()).hexdigest())
+        return real(sample)
+
+    monkeypatch.setattr(harness, fit, record)
+    config = _config(name)
+    harness._resolve_calibration(config, build_target(config.target))
+    assert seen == [expected]
+
+
+def test_tune_probe_fingerprint(monkeypatch, tmp_path):
+    digest = hashlib.sha256()
+    probes = []
+    real = tuning.run_chains
+
+    def record(*args):
+        result = real(*args)
+        _update(digest, result)
+        probes.append(result.indices.shape)
+        return result
+
+    monkeypatch.setattr(tuning, "run_chains", record)
+    config = _config("clock_potts_desk")
+    harness.tune_command(replace(config, output_dir=str(tmp_path), tune={**config.tune, "probe_length": 40}))
+    assert probes == [(4, 44, 9)] * 7
+    assert digest.hexdigest() == TUNE_PROBE_DIGEST
