@@ -95,22 +95,23 @@ def moment_report(chains, exact: dict | None = None) -> dict:
     moments, when available) and variance; results are averaged over
     coordinates for the first two families and over index pairs for the
     cross moments.  Without exact moments the bias entries are None.
-    ``chains`` holds one (T, d) array of draws per chain.
+    ``chains`` yields one (T, d) array of draws per chain; each is read once
+    and dropped, so an iterator holds one chain's draws at a time.
     """
-    draws = [np.asarray(x, dtype=float) for x in chains]
-    if len(draws) < 2:
+    per_chain = []
+    for x in chains:
+        x = np.asarray(x, dtype=float)
+        iu = np.triu_indices(x.shape[1], k=1)
+        per_chain.append((x.mean(axis=0), (x**2).mean(axis=0), (x.T @ x / x.shape[0])[iu]))
+    if len(per_chain) < 2:
         raise ValueError("need at least two chains for across-chain variance")
-    d = draws[0].shape[1]
-    est_mean = np.stack([x.mean(axis=0) for x in draws])
-    est_second = np.stack([(x**2).mean(axis=0) for x in draws])
-    iu = np.triu_indices(d, k=1)
-    est_cross = np.stack([(x.T @ x / x.shape[0])[iu] for x in draws])
+    est_mean, est_second, est_cross = (np.stack(parts) for parts in zip(*per_chain))
 
     report = {}
     for name, est, truth in (
         ("mean", est_mean, None if exact is None else exact["mean"]),
         ("second", est_second, None if exact is None else exact["second"]),
-        ("cross", est_cross, None if exact is None else exact["cross"][iu] if d > 1 else None),
+        ("cross", est_cross, None if exact is None else exact["cross"][iu]),
     ):
         if est.shape[1] == 0:
             report[name] = {"bias2": None, "variance": None}

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigError, EnumerationBudgetError, UndefinedESSError
+from .errors import ConfigError, EnumerationBudgetError, NumericGuardError, UndefinedESSError
 from .diagnostics import ess_multichain, exact_moments, index_pmf, moment_report, tv_distance
 from .precondition import (
     COND_THRESHOLD,
@@ -283,23 +283,38 @@ def build_preconditioner(config: ExperimentConfig, target: TargetModel):
 
 
 def _run_chain_block(config: ExperimentConfig, pre, chain_lo: int, chain_hi: int):
-    """Worker entry: run the chains ``chain_lo..chain_hi-1`` of a validated config."""
+    """Worker entry: run the chains ``chain_lo..chain_hi-1`` of a validated
+    config; a guard error names its chain by run index."""
     target = build_target(config.target)
     rngs = [chain_rng(config.base_seed, i) for i in range(chain_lo, chain_hi)]
     total = config.burn_in + config.length
-    result = run_chains(config.kernel, target, pre, config.sampler, total, rngs, target.lattice.random_indices(rngs))
+    try:
+        result = run_chains(config.kernel, target, pre, config.sampler, total, rngs, target.lattice.random_indices(rngs))
+    except NumericGuardError as exc:
+        chain = None if exc.chain is None else chain_lo + exc.chain
+        raise NumericGuardError(exc.quantity, chain, exc.step) from None
     return result.indices, result.energies, result.accepted
 
 
 def _run_all_chains(config: ExperimentConfig, pre):
+    """Whole-run (indices, energies, accepted) arrays: each worker's block is
+    copied into them as it completes and then dropped."""
     if config.workers == 1:
         return _run_chain_block(config, pre, 0, config.chains)
     bounds = np.linspace(0, config.chains, config.workers + 1).astype(int)
     spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    out = None
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        futures = [pool.submit(_run_chain_block, config, pre, lo, hi) for lo, hi in spans]
-        blocks = [f.result() for f in futures]
-    return tuple(np.concatenate(parts, axis=0) for parts in zip(*blocks))
+        starts = {pool.submit(_run_chain_block, config, pre, lo, hi): lo for lo, hi in spans}
+        for future in as_completed(starts):
+            lo, block = starts.pop(future), future.result()
+            del future  # the future holds the block too
+            if out is None:
+                out = tuple(np.empty((config.chains, *part.shape[1:]), part.dtype) for part in block)
+            for whole, part in zip(out, block):
+                whole[lo : lo + len(part)] = part
+            del block
+    return out
 
 
 def _write_chain_csvs(out_dir: Path, config: ExperimentConfig, values, indices, energies, accepted):
@@ -390,7 +405,7 @@ def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
     """Write ``metrics.csv``, ``tv.csv`` and, with ``moments``, ``moments.csv``
     from whole-run (chains, steps, ...) arrays of lattice indices, energies and
     accept flags.  The exact joint is enumerated at most once, for TV and
-    moments together."""
+    moments together; moments take one chain's values at a time."""
     values = target.lattice.values
     kept = slice(config.burn_in, config.burn_in + config.length)
     kept_idx = indices[:, kept]
@@ -412,7 +427,7 @@ def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
         if joint is not None:
             exact = dict(zip(("mean", "second", "cross"), exact_moments(joint, values)))
         rows = []
-        for family, entry in moment_report(values[kept_idx], exact).items():
+        for family, entry in moment_report((values[chain] for chain in kept_idx), exact).items():
             if entry["bias2"] is not None:
                 rows.append(("moment_bias2", family, config.length, entry["bias2"]))
             if entry["variance"] is not None:
@@ -513,10 +528,13 @@ def recompute_metrics(run_dir, out_dir=None) -> Path:
         raise ConfigError(f"{path} must hold a mapping with a 'config' mapping")
     config = ExperimentConfig.from_dict(manifest["config"])
     target = build_target(config.target)
-    rows = config.burn_in + config.length
-    chains = [_read_chain_indices(run_dir / "chains" / f"{CHAIN_CSV_PREFIX}{c:04d}.csv", target.lattice, rows)
-              for c in range(config.chains)]
-    indices, energies, accepted = (np.stack(parts) for parts in zip(*chains))
+    lattice, rows = target.lattice, config.burn_in + config.length
+    indices = np.empty((config.chains, rows, lattice.dim), lattice.index_dtype)
+    energies = np.empty((config.chains, rows))
+    accepted = np.empty((config.chains, rows), dtype=bool)
+    for c in range(config.chains):
+        path = run_dir / "chains" / f"{CHAIN_CSV_PREFIX}{c:04d}.csv"
+        indices[c], energies[c], accepted[c] = _read_chain_indices(path, lattice, rows)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_metrics(out_dir, config, target, indices, energies, accepted, moments=True)
     return out_dir

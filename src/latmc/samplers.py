@@ -363,8 +363,8 @@ def run_chains(
     Chain ``i`` consumes the variates of the documented order from its own
     generator, so a chain's trajectory does not depend on the other chains.
     Momentum kernels draw their initial momentum from each chain's generator
-    before the first step.  Indices are stored as int16 for lattices of up to
-    32768 values and as int32 above.
+    before the first step.  Indices are stored in ``lattice.index_dtype``, the
+    smallest unsigned type that holds them (uint8 up to 256 values).
     """
     core = _Core(kernel_id, target, pre, config)
     m = len(rngs)
@@ -373,8 +373,7 @@ def run_chains(
     if idx.shape != (m, d):
         raise ValueError("init_indices must be (n_chains, dim)")
 
-    index_dtype = np.int16 if target.lattice.n_values <= 1 << 15 else np.int32
-    out_idx = np.empty((m, n_steps, d), dtype=index_dtype)
+    out_idx = np.empty((m, n_steps, d), dtype=target.lattice.index_dtype)
     out_energy = np.empty((m, n_steps))
     out_accept = np.empty((m, n_steps), dtype=bool)
 

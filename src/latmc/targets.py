@@ -42,6 +42,11 @@ class LatticeSpec:
     def n_values(self) -> int:
         return int(self.values.size)
 
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The smallest unsigned type holding every index, in which runs store their chains."""
+        return np.min_scalar_type(self.n_values - 1)
+
     def index_of(self, s) -> np.ndarray:
         """Map a lattice point (values) to per-coordinate indices."""
         s = np.asarray(s, dtype=float)
@@ -264,7 +269,7 @@ class ClockPottsTarget(TargetModel):
     def evaluate_indices(self, idx, grad: bool = True):
         if self._cos_table is None:
             return super().evaluate_indices(idx, grad)
-        # int16 chain indices would wrap in idx * q once q > 181
+        # stored chain indices are compact (uint8 up to 256 values) and would wrap in idx * q
         idx = np.asarray(idx, dtype=np.intp)
         row = idx * self.q
         # the right and down table positions serve cos and sin alike: built once

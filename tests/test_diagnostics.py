@@ -161,3 +161,23 @@ class TestMomentReport:
         assert report["mean"]["bias2"] is None
         assert report["mean"]["variance"] > 0
 
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_chain_at_a_time_matches_the_list(self, rng, d):
+        # the harness hands over a generator of per-chain draws; the
+        # estimates are the same operations, so every bit agrees
+        t = QuadraticTarget(integer_lattice(d, 2), -0.5 * np.eye(d), np.zeros(d))
+        exact = dict(zip(("mean", "second", "cross"), exact_moments(enumerate_joint(t), t.lattice.values)))
+        idx = rng.integers(0, 5, size=(4, 50, d)).astype(t.lattice.index_dtype)
+        chains = [t.lattice.values[c] for c in idx]
+        for truth in (exact, None):
+            expected = moment_report(chains, truth)
+            assert moment_report((t.lattice.values[c] for c in idx), truth) == expected
+            assert moment_report(t.lattice.values[idx], truth) == expected
+        if d == 1:  # no index pairs
+            assert expected["cross"] == {"bias2": None, "variance": None}
+
+    @pytest.mark.parametrize("n_chains", [0, 1])
+    def test_fewer_than_two_chains_raise(self, rng, n_chains):
+        with pytest.raises(ValueError, match="at least two chains"):
+            moment_report(rng.standard_normal((30, 3)) for _ in range(n_chains))

@@ -12,7 +12,7 @@ import yaml
 
 from latmc import harness
 from latmc.cli import main as cli_main
-from latmc.errors import ConfigError
+from latmc.errors import ConfigError, NumericGuardError
 from latmc.harness import (
     ExperimentConfig,
     build_preconditioner,
@@ -411,14 +411,31 @@ class TestRunExperiment:
         assert (out / "metrics.csv").exists()
 
     def test_workers_do_not_change_results(self, tmp_path):
-        cfg1 = base_config(tmp_path, output_dir=str(tmp_path / "w1"))
-        cfg2 = base_config(tmp_path, output_dir=str(tmp_path / "w2"), workers=2)
-        out1 = run_experiment(cfg1)
-        out2 = run_experiment(cfg2)
-        assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
-        a = (out1 / "chains" / "chain_0003.csv").read_bytes()
-        b = (out2 / "chains" / "chain_0003.csv").read_bytes()
-        assert a == b
+        # three workers split five chains 1 + 2 + 2
+        out1 = run_experiment(base_config(tmp_path, output_dir=str(tmp_path / "w1"), chains=5))
+        out3 = run_experiment(base_config(tmp_path, output_dir=str(tmp_path / "w3"), chains=5, workers=3))
+        names = [f"chains/chain_{c:04d}.csv" for c in range(5)] + ["metrics.csv", "tv.csv"]
+        assert sorted(str(p.relative_to(out3)) for p in out3.glob("chains/*")) == names[:5]
+        for name in names:
+            assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
+
+    def test_worker_blocks_gather_into_the_compact_store(self, tmp_path):
+        cfg = base_config(tmp_path, chains=5, length=30, burn_in=5, checkpoints=[30])
+        pre = build_preconditioner(cfg, build_target(cfg.target))[0]
+        one = harness._run_all_chains(cfg, pre)
+        three = harness._run_all_chains(base_config(tmp_path, chains=5, length=30, burn_in=5, checkpoints=[30], workers=3), pre)
+        assert one[0].dtype == three[0].dtype == np.uint8
+        for a, b in zip(one, three):
+            assert a.shape[:2] == (5, 35) and a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_metrics_read_back_into_the_compact_store(self, tmp_path, monkeypatch):
+        out = run_experiment(base_config(tmp_path))
+        seen = []
+        monkeypatch.setattr(harness, "_write_metrics", lambda *args, **kwargs: seen.append(args[3:6]))
+        recompute_metrics(out, tmp_path / "redo")
+        ((indices, energies, accepted),) = seen
+        assert (indices.dtype, energies.dtype, accepted.dtype) == (np.uint8, np.float64, np.bool_)
+        assert indices.shape == (4, 500, 2)
 
     def test_metrics_recompute_matches(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -687,6 +704,21 @@ class TestNumericGuardExit:
         path.write_text(yaml.safe_dump(payload))
         assert cli_main(["run", "-c", str(path)]) == 3
         assert "step 0: non-finite proposal logits in chain 1" in capsys.readouterr().err
+
+
+def test_worker_guard_error_names_the_run_chain(tmp_path, monkeypatch):
+    # a worker runs chains chain_lo.. as its own chains 0..; the error names the run's chain
+    def guard(*args):
+        raise NumericGuardError("acceptance log-ratio", 1, 7)
+
+    monkeypatch.setattr(harness, "run_chains", guard)
+    cfg = base_config(tmp_path, chains=6, workers=2)
+    pre = build_preconditioner(cfg, build_target(cfg.target))[0]
+    with pytest.raises(NumericGuardError) as info:
+        harness._run_chain_block(cfg, pre, 3, 6)
+    err = info.value
+    assert (err.quantity, err.chain, err.step) == ("acceptance log-ratio", 4, 7)
+    assert str(err) == "step 7: non-finite acceptance log-ratio in chain 4"
 
 
 class TestDeskConfigEndToEnd:

@@ -495,12 +495,13 @@ class TestGuardMessages:
 
 
 def test_indices_do_not_wrap_on_large_lattices():
-    # more than 32768 values: indices no longer fit int16
+    # 40,000 values: indices are stored as uint16, which holds 65,536 values
     K = 40_000
     t = QuadraticTarget(LatticeSpec(1, np.arange(K, dtype=float)), np.array([[-1e-9]]), np.zeros(1))
     rngs = [chain_rng(6, i) for i in range(3)]
     init = np.array([[K - 1], [K - 2], [K // 2]])
     res = run_chains("metropolis", t, None, SamplerConfig(r=5), 5, rngs, init)
+    assert res.indices.dtype == np.uint16
     assert res.indices.min() >= 0 and res.indices.max() < K
     assert res.indices.max() > 32767
 

@@ -44,6 +44,12 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             lat.index_of(np.array([0.5, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("n_values, dtype", [
+        (2, np.uint8), (256, np.uint8), (257, np.uint16), (1 << 16, np.uint16), ((1 << 16) + 1, np.uint32),
+    ])
+    def test_index_dtype_is_the_smallest_that_holds_every_index(self, n_values, dtype):
+        assert LatticeSpec(1, np.arange(n_values, dtype=float)).index_dtype == dtype
+
 
 class TestDiscreteGaussian:
     def test_zero_at_origin(self):
@@ -190,10 +196,13 @@ class TestIndexedEvaluation:
         "side, q, coupling",
         [(2, 3, 1.0), (3, 4, 0.5), (20, 7, 1.0), (4, 2, -1.0), (3, 200, 1.0)],
     )
-    def test_clock_tables_match_batch_evaluators(self, side, q, coupling, rng):
+    @pytest.mark.parametrize("store", ["index_dtype", "int16"])
+    def test_clock_tables_match_batch_evaluators(self, side, q, coupling, store, rng):
         t = clock_potts(side, q, coupling)
-        # int16 as run_chains stores them; at q = 200, (q - 1) * q wraps in int16
-        idx = rng.integers(0, q, size=(5, side * side)).astype(np.int16)
+        # the store dtype run_chains records (uint8 for these q), and int16;
+        # at q = 200, (q - 1) * q wraps in either
+        dtype = t.lattice.index_dtype if store == "index_dtype" else np.int16
+        idx = rng.integers(0, q, size=(5, side * side)).astype(dtype)
         idx[0, 0] = q - 1
         S, F, G = t.evaluate_indices(idx)
         assert np.array_equal(S, t.lattice.values[idx])
