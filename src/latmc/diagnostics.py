@@ -96,7 +96,9 @@ def moment_report(chains, exact: dict | None = None) -> dict:
     coordinates for the first two families and over index pairs for the
     cross moments.  Without exact moments the bias entries are None.
     ``chains`` yields one (T, d) array of draws per chain; each is read once
-    and dropped, so an iterator holds one chain's draws at a time.
+    and dropped, so an iterator holds one chain's draws at a time.  The
+    estimates are stacked once per family, and the across-chain variance is
+    taken in place over that stack.
     """
     per_chain = []
     for x in chains:
@@ -117,8 +119,11 @@ def moment_report(chains, exact: dict | None = None) -> dict:
             report[name] = {"bias2": None, "variance": None}
             continue
         across = est.mean(axis=0)
-        variance = est.var(axis=0, ddof=1).mean()
         bias2 = None if truth is None else float(((across - truth) ** 2).mean())
+        # est.var(axis=0, ddof=1) to the bit, computed in place over the estimates
+        est -= across
+        np.multiply(est, est, out=est)
+        variance = (est.sum(axis=0) / (len(est) - 1)).mean()
         report[name] = {"bias2": bias2, "variance": float(variance)}
     return report
 

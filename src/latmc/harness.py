@@ -253,7 +253,7 @@ def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_c
         return (lambda delta: exact_quadratic_preconditioner(target, delta, threshold)), info
     if chains_csv is not None:
         info["source"] = str(chains_csv)
-        indices = _read_chain_indices(chains_csv, lattice)[0]
+        indices = read_chain_csv(chains_csv, lattice)[0]
     else:
         kernel, steps = config.calibration["burn_in_kernel"], config.calibration["burn_in_steps"]
         info.update(burn_in_steps=steps, burn_in_kernel=kernel)
@@ -334,16 +334,18 @@ def _write_chain_csvs(out_dir: Path, config: ExperimentConfig, values, indices, 
                 fh.write("".join(f"{c},{t},{','.join(row)},{e!r},{a:d}\r\n" for t, row, e, a in rows))
 
 
+def _ess_or_none(series):
+    """Multi-chain ESS of ``series``, or None where it is undefined."""
+    try:
+        return ess_multichain(series)
+    except UndefinedESSError:
+        return None
+
+
 def _scalar_metric_rows(config: ExperimentConfig, values, kept_idx, kept_energy, kept_accept):
     d = kept_idx.shape[2]
     rows = []
-    coord_ess = []
-    for i in range(d):
-        series = values[kept_idx[:, :, i]]
-        try:
-            coord_ess.append(ess_multichain(series))
-        except UndefinedESSError:
-            coord_ess.append(None)
+    coord_ess = [_ess_or_none(values[kept_idx[:, :, i]]) for i in range(d)]
     defined = [e for e in coord_ess if e is not None]
     for label, value in (
         ("min", min(defined) if defined else None),
@@ -351,11 +353,7 @@ def _scalar_metric_rows(config: ExperimentConfig, values, kept_idx, kept_energy,
         ("max", max(defined) if defined else None),
     ):
         rows.append(("ess", label, config.length, value))
-    try:
-        energy_ess = ess_multichain(kept_energy)
-    except UndefinedESSError:
-        energy_ess = None
-    rows.append(("ess", "energy", config.length, energy_ess))
+    rows.append(("ess", "energy", config.length, _ess_or_none(kept_energy)))
     rates = kept_accept.mean(axis=1)
     rows.append(("acceptance_rate", "mean", config.length, float(rates.mean())))
     rows.append(("acceptance_rate", "min", config.length, float(rates.min())))
@@ -474,10 +472,11 @@ def run_experiment(config: ExperimentConfig) -> Path:
     return out_dir
 
 
-def read_chain_csv(path):
-    """Read one chain CSV back into (draws, energies, accepted), checking that
-    each row has the header's field count, every cell is a finite number and
-    every accept flag is 0 or 1."""
+def read_chain_csv(path, lattice, rows=None):
+    """Read one chain CSV back into (lattice indices, energies, accepted),
+    checking that each row has the header's field count, every cell is a
+    finite number, every accept flag is 0 or 1, the states have the lattice's
+    width and lie on it, and, when ``rows`` is given, the row count."""
     try:
         with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns of a file with no rows
@@ -492,23 +491,15 @@ def read_chain_csv(path):
         accepted = table[:, -1]
         if not np.isin(accepted, (0, 1)).all():
             raise ValueError("accept flags must be 0 or 1")
+        draws = table[:, 2:-2]
+        if draws.shape[1] != lattice.dim:
+            raise ValueError(f"states have width {draws.shape[1]}, the target has d = {lattice.dim}")
+        if rows is not None and len(draws) != rows:
+            raise ValueError(f"{len(draws)} rows, the config's burn_in + length is {rows}")
     except (FileNotFoundError, ValueError, UserWarning) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return table[:, 2:-2], table[:, -2], accepted == 1
-
-
-def _read_chain_indices(path, lattice, rows=None):
-    """Read a chain CSV as (lattice indices, energies, accepted), checking the
-    state width, the row count when ``rows`` is given, and the lattice."""
-    draws, energies, accepted = read_chain_csv(path)
-    if draws.shape[1] != lattice.dim:
-        raise ConfigError(
-            f"{path}: states have width {draws.shape[1]}, the target has d = {lattice.dim}"
-        )
-    if rows is not None and len(draws) != rows:
-        raise ConfigError(f"{path}: {len(draws)} rows, the config's burn_in + length is {rows}")
     try:
-        return lattice.index_of(draws), energies, accepted
+        return lattice.index_of(draws), table[:, -2], accepted == 1
     except ValueError as exc:
         raise ConfigError(f"{path}: a state value is off the lattice") from exc
 
@@ -534,7 +525,7 @@ def recompute_metrics(run_dir, out_dir=None) -> Path:
     accepted = np.empty((config.chains, rows), dtype=bool)
     for c in range(config.chains):
         path = run_dir / "chains" / f"{CHAIN_CSV_PREFIX}{c:04d}.csv"
-        indices[c], energies[c], accepted[c] = _read_chain_indices(path, lattice, rows)
+        indices[c], energies[c], accepted[c] = read_chain_csv(path, lattice, rows)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_metrics(out_dir, config, target, indices, energies, accepted, moments=True)
     return out_dir

@@ -299,22 +299,22 @@ def clock_potts(side: int, q: int, coupling: float = 1.0) -> ClockPottsTarget:
     return ClockPottsTarget(side, q, coupling)
 
 
-def enumerate_joint(target: TargetModel, budget: int = ENUMERATION_BUDGET):
+def enumerate_joint(target: TargetModel):
     """Exact pmf table of the whole lattice, one axis per coordinate.
 
     Normalizes exp(f(s) - max f) over every lattice state (:func:`marginal`
     sums it onto a coordinate tuple).  Raises :class:`EnumerationBudgetError`
-    when K^d exceeds ``budget``.  Energies are evaluated in index order, in
-    blocks that differ in their leading columns only (every value of the most
-    trailing coordinates that fit ``ENUMERATION_BLOCK_ROWS``, one at least), and
-    normalized in place: memory is one table plus one block.
+    when K^d exceeds ``ENUMERATION_BUDGET``.  Energies are evaluated in index
+    order, in blocks that differ in their leading columns only (every value of
+    the most trailing coordinates that fit ``ENUMERATION_BLOCK_ROWS``, one at
+    least), and normalized in place: memory is one table plus one block.
     """
     lattice = target.lattice
     K, d = lattice.n_values, lattice.dim
     total = K**d
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"enumeration of {K}^{d} = {total} states exceeds budget {budget}"
+            f"enumeration of {K}^{d} = {total} states exceeds budget {ENUMERATION_BUDGET}"
         )
     tail = next(t for t in range(d, 0, -1) if t == 1 or K**t <= ENUMERATION_BLOCK_ROWS)
     lead = d - tail

@@ -177,6 +177,18 @@ class TestMomentReport:
         if d == 1:  # no index pairs
             assert expected["cross"] == {"bias2": None, "variance": None}
 
+    def test_variance_is_numpys_ddof_1_variance_to_the_bit(self, rng):
+        chains = [rng.standard_normal((40, 6)) for _ in range(5)]
+        iu = np.triu_indices(6, k=1)
+        estimates = {
+            "mean": np.stack([x.mean(axis=0) for x in chains]),
+            "second": np.stack([(x**2).mean(axis=0) for x in chains]),
+            "cross": np.stack([(x.T @ x / len(x))[iu] for x in chains]),
+        }
+        report = moment_report(chains)
+        for name, est in estimates.items():
+            assert report[name]["variance"] == float(np.var(est, axis=0, ddof=1).mean()), name
+
     @pytest.mark.parametrize("n_chains", [0, 1])
     def test_fewer_than_two_chains_raise(self, rng, n_chains):
         with pytest.raises(ValueError, match="at least two chains"):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -338,7 +339,8 @@ class TestRunExperiment:
         path = out / "chains" / "chain_0000.csv"
         header = path.read_text().splitlines()[0]
         assert header == "chain,t,s_1,s_2,energy,accepted"
-        draws, energies, accepted = read_chain_csv(path)
+        indices, energies, accepted = read_chain_csv(path, target.lattice)
+        draws = target.lattice.values[indices]
         assert draws.shape == (cfg.burn_in + cfg.length, 2)
         for i in (0, 57, 499):
             assert abs(target.f(draws[i]) - energies[i]) < 1e-10
@@ -375,11 +377,12 @@ class TestRunExperiment:
         values, indices = written["values"], written["indices"]
         assert values.min() < 0.0 and indices.shape[2] >= 2
         assert indices.shape[1] > harness.CSV_BLOCK_ROWS and indices.shape[1] % harness.CSV_BLOCK_ROWS
+        lattice = build_target(cfg.target).lattice
         for c in range(cfg.chains):
             path = out / "chains" / f"chain_{c:04d}.csv"
             assert path.read_bytes() == csv_writer_rendering(c, **written)
-            draws, energies, accepted = read_chain_csv(path)
-            assert np.array_equal(draws, values[indices[c]])
+            read, energies, accepted = read_chain_csv(path, lattice, cfg.burn_in + cfg.length)
+            assert np.array_equal(read, indices[c])
             assert np.array_equal(energies, written["energies"][c])
             assert np.array_equal(accepted, written["accepted"][c])
 
@@ -541,6 +544,24 @@ class TestMalformedRunDirectory:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=r"chain_0002.csv.*off the lattice"):
             recompute_metrics(out, tmp_path / "redo")
+
+    @pytest.mark.parametrize("dim, rows, cell, match", [
+        (3, None, None, r"states have width 2, the target has d = 3"),
+        (2, 499, None, r"500 rows, the config's burn_in \+ length is 499"),
+        (2, 500, "0.5", r"a state value is off the lattice"),
+    ], ids=["width", "row_count", "off_lattice"])
+    def test_read_chain_csv_checks_the_lattice_and_rows(self, tmp_path, dim, rows, cell, match):
+        out = run_experiment(base_config(tmp_path))
+        path = out / "chains" / "chain_0003.csv"
+        if cell is not None:
+            lines = path.read_text().splitlines()
+            fields = lines[9].split(",")
+            fields[3] = cell
+            lines[9] = ",".join(fields)
+            path.write_text("\n".join(lines) + "\n")
+        target = build_target({"name": "discrete_gaussian", "d": dim, "k": 2, "sigma": 2.0, "rho": 0.5})
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {match}"):
+            read_chain_csv(path, target.lattice, rows)
 
     def test_calibrate_from_chain_csv_of_another_dimension(self, tmp_path):
         out = run_experiment(base_config(tmp_path))
@@ -785,5 +806,18 @@ def test_scipy_linalg_loads_only_for_a_fit(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_LINALG_SCRIPT, str(CONFIGS), str(tmp_path / "gauss")],
         capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", sorted(
+    "latmc" if p.stem == "__init__" else f"latmc.{p.stem}" for p in Path(harness.__file__).parent.glob("*.py")
+))
+def test_each_module_imports_alone(module):
+    # a fresh interpreter per module, so no earlier import hides an import-order fault
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", f"import {module}"],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
