@@ -1,12 +1,12 @@
 """Evaluation metrics over completed chains: total-variation distance against
-exact tables, multi-chain batch-mean effective sample size, autocorrelation,
-and moment estimation bias/variance summaries."""
+exact tables, multi-chain batch-mean effective sample size, and moment
+estimation bias/variance summaries."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SupportMismatchError, UndefinedESSError
+from .errors import SupportMismatchError
 from .targets import LatticeSpec, marginal
 
 
@@ -35,12 +35,12 @@ def empirical_pmf(draws, lattice: LatticeSpec, coords) -> np.ndarray:
     return index_pmf(lattice.index_of(draws[:, coords]), lattice.n_values)
 
 
-def ess_multichain(x) -> float:
+def ess_multichain(x) -> float | None:
     """Batch-mean effective sample size from m chains of length T.
 
     ESS = T * W / B with W the pooled within-chain variance and B the
-    between-chain variance of the chain means.  Raises
-    :class:`UndefinedESSError` when all chain means coincide (B = 0).
+    between-chain variance of the chain means; None, as the ESS is then
+    undefined, when all chain means coincide (B = 0).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -53,30 +53,16 @@ def ess_multichain(x) -> float:
     within = ((x - chain_means[:, None]) ** 2).sum() / (m * (T - 1))
     between = T * ((chain_means - grand_mean) ** 2).sum() / (m - 1)
     if between == 0.0:
-        raise UndefinedESSError("all chain means identical; ESS undefined")
+        return None
     return float(T * within / between)
 
 
-def acf(x, max_lag: int) -> np.ndarray:
-    """Autocorrelation with the bounded 1/T normalization, lags 0..max_lag."""
-    x = np.asarray(x, dtype=float)
-    T = x.size
-    if T <= max_lag:
-        raise ValueError("series shorter than requested lag range")
-    centered = x - x.mean()
-    denom = float((centered * centered).sum())
-    if denom == 0.0:
-        raise ValueError("zero-variance series has no autocorrelation")
-    full = np.correlate(centered, centered, mode="full")
-    return full[T - 1 : T + max_lag] / denom
-
-
-def exact_moments(pmf: np.ndarray, values: np.ndarray):
+def exact_moments(pmf: np.ndarray, values: np.ndarray) -> dict:
     """First and second moments of a joint table over a shared value set.
 
-    Returns (mean (d,), second (d,), cross (d, d) with E[s_i s_j] off the
-    diagonal).  Each pair is summed once, for i < j, and mirrored into
-    ``cross[j, i]``.
+    Returns the mapping ``moment_report`` reads: ``mean`` (d,), ``second``
+    (d,) and ``cross`` (d, d) with E[s_i s_j] off the diagonal.  Each pair is
+    summed once, for i < j, and mirrored into ``cross[j, i]``.
     """
     d = pmf.ndim
     margs = [marginal(pmf, (i,)) for i in range(d)]
@@ -85,7 +71,7 @@ def exact_moments(pmf: np.ndarray, values: np.ndarray):
     cross = np.diag(second)
     for i, j in zip(*np.triu_indices(d, k=1)):
         cross[i, j] = cross[j, i] = values @ marginal(pmf, (i, j)) @ values
-    return mean, second, cross
+    return {"mean": mean, "second": second, "cross": cross}
 
 
 def moment_report(chains, exact: dict | None = None) -> dict:

@@ -45,9 +45,5 @@ class SupportMismatchError(LatmcError):
     """Two probability tables do not share the same support."""
 
 
-class UndefinedESSError(LatmcError):
-    """Between-chain variance is zero, leaving the ESS estimator undefined."""
-
-
 class InvalidStateError(LatmcError):
     """Chain state outside the lattice support, or zero-probability reference value."""

@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigError, EnumerationBudgetError, NumericGuardError, UndefinedESSError
+from .errors import ConfigError, EnumerationBudgetError, NumericGuardError
 from .diagnostics import ess_multichain, exact_moments, index_pmf, moment_report, tv_distance
 from .precondition import (
     COND_THRESHOLD,
@@ -181,7 +181,7 @@ class ExperimentConfig:
         if kernel == "git_gibbs" and method != "exact_quadratic":
             raise ConfigError(f"kernel git_gibbs needs calibration.method exact_quadratic, got {method!r}")
         built = build_target(target)  # checks the target block; the config keeps the mapping
-        if method == "exact_quadratic" and built.quadratic_coeff is None:
+        if method == "exact_quadratic" and built.W_true is None:
             raise ConfigError("calibration.method exact_quadratic needs a target with an exact quadratic W")
         raw = dict(payload, calibration=calibration)
         calibration = {"burn_in_kernel": "metropolis", "burn_in_steps": 500, "burn_in_r": max(sampler.r, 2),
@@ -317,11 +317,15 @@ def _run_all_chains(config: ExperimentConfig, pre):
     return out
 
 
+def _chain_csv_header(d: int) -> str:
+    return ",".join(["chain", "t"] + [f"s_{i + 1}" for i in range(d)] + ["energy", "accepted"])
+
+
 def _write_chain_csvs(out_dir: Path, config: ExperimentConfig, values, indices, energies, accepted):
     """One CSV per chain, the bytes ``csv.writer`` renders: each lattice value is
     formatted once, and lines are built from its labels a block of rows at a time."""
     m, n, d = indices.shape
-    header = ",".join(["chain", "t"] + [f"s_{i + 1}" for i in range(d)] + ["energy", "accepted"])
+    header = _chain_csv_header(d)
     labels = np.array([repr(float(v)) for v in values], dtype=object)
     chains_dir = out_dir / "chains"
     chains_dir.mkdir(exist_ok=True)
@@ -334,18 +338,10 @@ def _write_chain_csvs(out_dir: Path, config: ExperimentConfig, values, indices, 
                 fh.write("".join(f"{c},{t},{','.join(row)},{e!r},{a:d}\r\n" for t, row, e, a in rows))
 
 
-def _ess_or_none(series):
-    """Multi-chain ESS of ``series``, or None where it is undefined."""
-    try:
-        return ess_multichain(series)
-    except UndefinedESSError:
-        return None
-
-
 def _scalar_metric_rows(config: ExperimentConfig, values, kept_idx, kept_energy, kept_accept):
     d = kept_idx.shape[2]
     rows = []
-    coord_ess = [_ess_or_none(values[kept_idx[:, :, i]]) for i in range(d)]
+    coord_ess = [ess_multichain(values[kept_idx[:, :, i]]) for i in range(d)]
     defined = [e for e in coord_ess if e is not None]
     for label, value in (
         ("min", min(defined) if defined else None),
@@ -353,7 +349,7 @@ def _scalar_metric_rows(config: ExperimentConfig, values, kept_idx, kept_energy,
         ("max", max(defined) if defined else None),
     ):
         rows.append(("ess", label, config.length, value))
-    rows.append(("ess", "energy", config.length, _ess_or_none(kept_energy)))
+    rows.append(("ess", "energy", config.length, ess_multichain(kept_energy)))
     rates = kept_accept.mean(axis=1)
     rows.append(("acceptance_rate", "mean", config.length, float(rates.mean())))
     rows.append(("acceptance_rate", "min", config.length, float(rates.min())))
@@ -421,9 +417,7 @@ def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
     if config.tv_coords and joint is not None:
         _write_metric_csv(out_dir / "tv.csv", TV_HEADER, _tv_rows(config, joint, kept_idx))
     if moments:
-        exact = None
-        if joint is not None:
-            exact = dict(zip(("mean", "second", "cross"), exact_moments(joint, values)))
+        exact = None if joint is None else exact_moments(joint, values)
         rows = []
         for family, entry in moment_report((values[chain] for chain in kept_idx), exact).items():
             if entry["bias2"] is not None:
@@ -474,9 +468,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
 def read_chain_csv(path, lattice, rows=None):
     """Read one chain CSV back into (lattice indices, energies, accepted),
-    checking that each row has the header's field count, every cell is a
-    finite number, every accept flag is 0 or 1, the states have the lattice's
-    width and lie on it, and, when ``rows`` is given, the row count."""
+    checking that every row has the header's field count and finite cells,
+    every accept flag is 0 or 1, the header and rows hold the lattice's d
+    states, the states lie on the lattice and, given ``rows``, the row count."""
     try:
         with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns of a file with no rows
@@ -494,6 +488,8 @@ def read_chain_csv(path, lattice, rows=None):
         draws = table[:, 2:-2]
         if draws.shape[1] != lattice.dim:
             raise ValueError(f"states have width {draws.shape[1]}, the target has d = {lattice.dim}")
+        if ",".join(header) != _chain_csv_header(lattice.dim):
+            raise ValueError(f"first line is not the header chain,t,s_1..s_{lattice.dim},energy,accepted")
         if rows is not None and len(draws) != rows:
             raise ValueError(f"{len(draws)} rows, the config's burn_in + length is {rows}")
     except (FileNotFoundError, ValueError, UserWarning) as exc:

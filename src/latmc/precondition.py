@@ -237,10 +237,9 @@ def exact_quadratic_preconditioner(
     target: TargetModel, delta: float, cond_threshold: float = COND_THRESHOLD
 ) -> Preconditioner:
     """Use the target's true quadratic coefficient matrix as W."""
-    if target.quadratic_coeff is None:
+    if target.W_true is None:
         raise CalibrationError("target has no exact quadratic coefficient matrix")
-    w_true, _ = target.quadratic_coeff
-    return factorize(w_true, lambda_shift(w_true, delta), cond_threshold)
+    return factorize(target.W_true, lambda_shift(target.W_true, delta), cond_threshold)
 
 
 def scaling_check(target: TargetModel, c: float, sample: CalibrationSample, method: str = "gradient_diff"):

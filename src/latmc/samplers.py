@@ -146,10 +146,9 @@ def momentum_init(pre: Preconditioner, rng) -> np.ndarray:
 
 
 def _require_quadratic_match(target: TargetModel, pre: Preconditioner):
-    if target.quadratic_coeff is None:
+    if target.W_true is None:
         raise ContractError("auxiliary Gibbs requires an exactly quadratic target")
-    w_true, _ = target.quadratic_coeff
-    if not np.allclose(w_true, pre.W, atol=1e-10, rtol=0.0):
+    if not np.allclose(target.W_true, pre.W, atol=1e-10, rtol=0.0):
         raise ContractError("preconditioner W does not match the target's quadratic matrix")
 
 

@@ -73,11 +73,11 @@ class TargetModel:
     which a target may override with a faster evaluation that returns the same
     bits.  A row's result must not depend on the other rows of its batch:
     ``enumerate_joint`` and the samplers batch rows differently.
-    ``quadratic_coeff`` is ``(W_true, b)`` whenever f(s) = 1/2 s^T W_true s +
-    b^T s holds exactly, else ``None``.
+    ``W_true`` is W whenever f(s) = 1/2 s^T W s + b^T s holds exactly for
+    some b, else ``None``.
     """
 
-    quadratic_coeff = None
+    W_true = None
 
     def __init__(self, lattice: LatticeSpec):
         self.lattice = lattice
@@ -117,7 +117,6 @@ class QuadraticTarget(TargetModel):
             raise ValueError("W_true must be symmetric")
         self.W_true = w_true
         self.b = b
-        self.quadratic_coeff = (self.W_true, self.b)
 
     def f_batch(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import ConfigError, UndefinedESSError
+from .errors import ConfigError
 from .diagnostics import ess_multichain
 from .samplers import MOMENTUM_KERNELS, SamplerConfig, run_chains
 from .targets import TargetModel
@@ -19,12 +19,7 @@ def _probe_run(kernel_id, target, pre, config, chains, length, rng, burn_in=0):
     both measured after the probe burn-in."""
     child = rng.spawn(chains)
     result = run_chains(kernel_id, target, pre, config, burn_in + length, child, target.lattice.random_indices(child))
-    rate = float(result.accepted[:, burn_in:].mean())
-    try:
-        ess = ess_multichain(result.energies[:, burn_in:])
-    except UndefinedESSError:
-        ess = None
-    return rate, ess
+    return float(result.accepted[:, burn_in:].mean()), ess_multichain(result.energies[:, burn_in:])
 
 
 def _rank_candidates(entries):
@@ -83,7 +78,7 @@ def staged_grid_search(
             entries.append((cfg, ess, rate))
             key = (f"{stage}:epsilon={cfg.epsilon!r},delta={cfg.delta!r},phi={cfg.phi!r},"
                    f"beta={cfg.beta!r},r={cfg.r}")
-            trace["ess_table"][key] = None if ess is None else float(ess)
+            trace["ess_table"][key] = ess
             if name == "delta":
                 trace["deltas"].append(value)
                 trace["rates"].append(rate)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from latmc.diagnostics import (
-    acf,
     empirical_pmf,
     ess_multichain,
     exact_moments,
@@ -12,7 +11,7 @@ from latmc.diagnostics import (
     moment_report,
     tv_distance,
 )
-from latmc.errors import SupportMismatchError, UndefinedESSError
+from latmc.errors import SupportMismatchError
 from latmc.targets import QuadraticTarget, enumerate_joint, integer_lattice, marginal
 
 
@@ -70,8 +69,7 @@ class TestESS:
         assert ess_multichain(3.7 * x - 11.0) == pytest.approx(base, rel=1e-12)
 
     def test_constant_chains_undefined(self):
-        with pytest.raises(UndefinedESSError):
-            ess_multichain(np.ones((3, 10)))
+        assert ess_multichain(np.ones((3, 10))) is None
 
     def test_iid_sanity_band(self):
         # frozen-seed band check: ESS/T for iid noise stays within [0.2, 5]
@@ -90,34 +88,13 @@ class TestESS:
             ess_multichain(np.ones((1, 10)))
 
 
-class TestACF:
-    def test_lag_zero_is_one(self, rng):
-        x = rng.standard_normal(500)
-        assert acf(x, 10)[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_alternating_series(self):
-        T = 10**4
-        x = np.where(np.arange(T) % 2 == 0, 1.0, -1.0)
-        rho = acf(x, 1)
-        assert abs(rho[1] + 1.0) <= 2.0 / T
-
-    def test_iid_noise_decorrelated(self, rng):
-        x = rng.standard_normal(10**5)
-        assert abs(acf(x, 1)[1]) <= 0.02
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            acf(np.ones(5), 10)
-        with pytest.raises(ValueError):
-            acf(np.ones(50), 3)
-
-
 class TestExactMoments:
     def test_cross_moments_match_every_ordered_pair(self, rng):
         w = rng.normal(size=(3, 3))
         t = QuadraticTarget(integer_lattice(3, 2), -np.eye(3) + 0.1 * (w + w.T), rng.normal(size=3))
         pmf, values = enumerate_joint(t), t.lattice.values
-        mean, second, cross = exact_moments(pmf, values)
+        exact = exact_moments(pmf, values)
+        second, cross = exact["second"], exact["cross"]
         for i, j in itertools.product(range(3), repeat=2):
             # the loop over ordered pairs it replaced, summing the (i, j) marginal
             expected = second[i] if i == j else values @ marginal(pmf, (i, j)) @ values
@@ -136,9 +113,8 @@ class TestMomentReport:
         # moments, so the squared bias vanishes
         t = self._uniform_target()
         pmf = enumerate_joint(t)
-        mean, second, cross = exact_moments(pmf, t.lattice.values)
         pts = np.array(list(itertools.product(t.lattice.values, repeat=2)))
-        report = moment_report([pts, pts[::-1]], {"mean": mean, "second": second, "cross": cross})
+        report = moment_report([pts, pts[::-1]], exact_moments(pmf, t.lattice.values))
         assert report["mean"]["bias2"] <= 1e-20
         assert report["second"]["bias2"] <= 1e-20
         assert report["cross"]["bias2"] <= 1e-20
@@ -148,10 +124,10 @@ class TestMomentReport:
         # mean estimate equals the squared across-chain average
         t = QuadraticTarget(integer_lattice(2, 2), -0.5 * np.eye(2), np.zeros(2))
         pmf = enumerate_joint(t)
-        mean, second, cross = exact_moments(pmf, t.lattice.values)
-        assert np.abs(mean).max() < 1e-15
+        exact = exact_moments(pmf, t.lattice.values)
+        assert np.abs(exact["mean"]).max() < 1e-15
         chains = [t.lattice.values[rng.integers(0, 5, size=(40, 2))] for _ in range(4)]
-        report = moment_report(chains, {"mean": mean, "second": second, "cross": cross})
+        report = moment_report(chains, exact)
         across = np.stack([c.mean(axis=0) for c in chains]).mean(axis=0)
         assert report["mean"]["bias2"] == pytest.approx((across**2).mean(), rel=1e-12)
 
@@ -167,7 +143,7 @@ class TestMomentReport:
         # the harness hands over a generator of per-chain draws; the
         # estimates are the same operations, so every bit agrees
         t = QuadraticTarget(integer_lattice(d, 2), -0.5 * np.eye(d), np.zeros(d))
-        exact = dict(zip(("mean", "second", "cross"), exact_moments(enumerate_joint(t), t.lattice.values)))
+        exact = exact_moments(enumerate_joint(t), t.lattice.values)
         idx = rng.integers(0, 5, size=(4, 50, d)).astype(t.lattice.index_dtype)
         chains = [t.lattice.values[c] for c in idx]
         for truth in (exact, None):

@@ -129,6 +129,10 @@ class TestConfig:
         ({"sampler": {"delta": 0.25, "phi": float("nan")}}, "phi must be finite, got nan"),
         ({"sampler": {"delta": 0.25, "phi": float("inf")}}, "phi must be finite, got inf"),
         ({"sampler": {"delta": 0.25, "epsilon": float("nan")}}, "epsilon must be finite, got nan"),
+        ({"sampler": {"delta": 0.25, "epsilon": 1.5}}, "epsilon must lie in [0, 1]"),
+        ({"sampler": {"delta": 0.25, "phi": -0.5}}, "phi must be nonnegative"),
+        ({"target": {"d": 2, "k": 2}}, "target config needs a 'name'"),
+        ({"target": {"name": "ising", "d": 2}}, "unknown target 'ising'"),
         ({"calibration": {"method": "gradient_diff", "burn_in_kernel": "bogus"}},
          "calibration.burn_in_kernel"),
         ({"calibration": {"method": "gradient_diff", "burn_in_kernel": "git_gibbs"}},
@@ -146,7 +150,8 @@ class TestConfig:
         ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2}}, "calibration.method"),
     ], ids=["checkpoints", "workers", "cond_threshold", "tv_coords", "tune", "tune_key",
             "clock_key", "gaussian_key", "delta_nan", "delta_inf", "beta_nan", "beta_inf",
-            "phi_nan", "phi_inf", "epsilon_nan", "burn_in_kernel", "burn_in_kernel_git_gibbs",
+            "phi_nan", "phi_inf", "epsilon_nan", "epsilon_range", "phi_negative", "target_name_missing",
+            "target_name_unknown", "burn_in_kernel", "burn_in_kernel_git_gibbs",
             "burn_in_delta", "burn_in_delta_nan", "burn_in_delta_negative", "solver",
             "git_gibbs_without_exact_w", "cond_threshold_nan", "exact_quadratic_without_w"])
     def test_bad_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
@@ -232,6 +237,7 @@ class TestConfig:
         ({"delta_grid": [0.25, -1.0]}, "delta must be positive"),
         ({"phi_grid": [0.0, float("inf")]}, "phi must be finite, got inf"),
         ({"phi_grid": []}, "tune.phi_grid must list at least one phi"),
+        ({"delta_grid": []}, "tune.delta_grid must list candidate stepsizes"),
         # a bad delta is found under an empty phi grid too
         ({"delta_grid": [-1.0], "phi_grid": []}, "delta must be positive"),
         # the energy ESS that ranks the probes needs two chains of two draws
@@ -239,7 +245,7 @@ class TestConfig:
         ({"probe_length": 1}, "tune.probe_length must be >= 2, got 1"),
     ], ids=["probe_chains", "probe_length", "probe_burn_in", "epsilon", "beta", "delta_grid",
             "epsilon_nan", "beta_inf", "delta_grid_nan", "delta_grid_negative", "phi_grid_inf",
-            "phi_grid_empty", "delta_grid_negative_phi_grid_empty", "probe_chains_range",
+            "phi_grid_empty", "delta_grid_empty", "delta_grid_negative_phi_grid_empty", "probe_chains_range",
             "probe_length_range"])
     def test_bad_tune_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
         tune = dict({"delta_grid": [0.25], "probe_chains": 2, "probe_length": 50}, **override)
@@ -500,8 +506,9 @@ class TestMalformedRunDirectory:
         lambda text: text.replace("\n", ",0\n").replace(",0\n", "\n", 1),
         lambda text: _set_energy_cell(text, "nan"),
         lambda text: _set_energy_cell(text, "-inf"),
+        lambda text: text.split("\n", 1)[1],
     ], ids=["rows_missing", "cut_inside_row", "header_only", "accept_flag", "text_cell",
-            "extra_field", "nan_energy", "inf_energy"])
+            "extra_field", "nan_energy", "inf_energy", "header_missing"])
     def test_truncated_chain_csv(self, tmp_path, capsys, keep):
         out = run_experiment(base_config(tmp_path))
         path = out / "chains" / "chain_0001.csv"
@@ -677,10 +684,54 @@ class TestCli:
         assert cli_main(["calibrate", "-c", str(path)]) == 0
         assert (Path(cfg.output_dir) / "preconditioner.json").exists()
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kernel", ["metropolis", "git_gibbs"])
+    def test_tune_rejects_a_kernel_without_gradients(self, tmp_path, capsys, kernel):
+        tune = {"delta_grid": [0.25], "probe_chains": 2, "probe_length": 50}
+        path, cfg = self._write_cfg(tmp_path, kernel=kernel, tune=tune)
+        assert cli_main(["tune", "-c", str(path)]) == 2
+        assert "tuning applies to the pavg/vpdhams/opdhams kernels" in capsys.readouterr().err
+        assert not Path(cfg.output_dir).exists()
+
+    def test_calibrate_from_a_headerless_chain_csv_exits_2(self, tmp_path, capsys):
+        path, cfg = self._write_cfg(tmp_path)
+        assert cli_main(["run", "-c", str(path)]) == 0
+        headerless = tmp_path / "headerless.csv"
+        text = (Path(cfg.output_dir) / "chains" / "chain_0000.csv").read_text()
+        headerless.write_text(text.split("\n", 1)[1])
+        path, _ = self._write_cfg(tmp_path, calibration={"method": "gradient_diff"})
+        cal = tmp_path / "cal"
+        assert cli_main(["calibrate", "-c", str(path), "-o", str(cal), "--chains-csv", str(headerless)]) == 2
+        assert "headerless.csv: first line is not the header chain,t,s_1..s_2,energy,accepted" in (
+            capsys.readouterr().err)
+        assert not cal.exists()
+
+    def test_calibrate_from_a_three_step_burn_in_exits_1(self, tmp_path, capsys):
+        payload = yaml.safe_load((CONFIGS / "quadratic_mixture_desk.yaml").read_text())
+        payload["calibration"]["burn_in_steps"] = 3
+        payload["output_dir"] = str(tmp_path / "cal")
+        path = tmp_path / "short_burn_in.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        assert cli_main(["calibrate", "-c", str(path)]) == 1
+        assert "2 distinct moves cannot identify 6 matrix entries" in capsys.readouterr().err
+        assert not (tmp_path / "cal").exists()
+
+    def test_output_onto_an_existing_file_exits_1(self, tmp_path, capsys):
+        path, _ = self._write_cfg(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli_main(["run", "-c", str(path), "-o", str(taken)]) == 1
+        assert str(taken) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        ("kernel: nonsense\n", "missing config key: 'target'"),
+        ("kernel: [vpdhams\n", "cannot parse config file"),
+        ("- vpdhams\n", "must hold a mapping"),
+    ], ids=["missing_key", "unparsable", "not_a_mapping"])
+    def test_config_error_exit_code(self, tmp_path, capsys, text, named):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("kernel: nonsense\n")
+        bad.write_text(text)
         assert cli_main(["run", "-c", str(bad)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_output_override(self, tmp_path, capsys):
         path, cfg = self._write_cfg(tmp_path)

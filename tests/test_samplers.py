@@ -410,6 +410,11 @@ class TestGuards:
         with pytest.raises(ContractError):
             step_kernel("git_gibbs", ChainState(mix.lattice.random_point(rng)), mix, pre, SamplerConfig(), rng)
 
+    def test_config_needs_a_positive_r(self):
+        # a config's sampler.r < 1 is rejected earlier, when the config loads
+        with pytest.raises(ValueError, match="r must be a positive integer"):
+            SamplerConfig(r=0)
+
     @pytest.mark.parametrize("kernel", ["metropolis", "git_gibbs", "pavg", "bogus"])
     def test_transition_terms_need_a_momentum_kernel(self, kernel):
         t = small_mixture()

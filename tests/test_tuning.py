@@ -6,7 +6,7 @@ from latmc.errors import ConfigError
 from latmc.diagnostics import ess_multichain
 from latmc.precondition import exact_quadratic_preconditioner, factorize, lambda_shift
 from latmc.samplers import SamplerConfig
-from latmc.targets import discrete_gaussian
+from latmc.targets import QuadraticTarget, discrete_gaussian, integer_lattice
 from latmc.tuning import staged_grid_search
 
 
@@ -28,10 +28,14 @@ class TestStagedGridSearch:
         assert cfg.phi == 0.3
         assert cfg.epsilon == 0.9
 
-    def test_empty_grid_rejected(self):
+    @pytest.mark.parametrize("grids, named", [
+        ({"delta": []}, "empty stepsize grid"),
+        ({"delta": [0.25], "phi": []}, "empty phi grid"),
+    ], ids=["delta", "phi"])
+    def test_empty_grid_rejected(self, grids, named):
         t = discrete_gaussian(2, 3, 2.0, 0.5)
-        with pytest.raises(ConfigError):
-            staged_grid_search("vpdhams", t, self._builder(t), {"delta": []}, 2, 50, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=named):
+            staged_grid_search("vpdhams", t, self._builder(t), grids, 2, 50, np.random.default_rng(0))
 
     @pytest.mark.parametrize("chains, length", [(1, 50), (2, 1)])
     def test_single_chain_or_step_probes_rejected(self, chains, length):
@@ -92,6 +96,18 @@ class TestStagedGridSearch:
             chains=2, length=50, rng=np.random.default_rng(0),
         )
         assert cfg.delta == 0.2
+
+    def test_flat_target_probes_have_undefined_ess(self):
+        # f = 0 gives every chain the energy series 0, so all chain means are
+        # equal: every probe's ESS is None and the first stepsize is kept
+        t = QuadraticTarget(integer_lattice(2, 2), np.zeros((2, 2)), np.zeros(2))
+        cfg, trace = staged_grid_search(
+            "vpdhams", t, self._builder(t), {"delta": [0.4, 0.2], "phi": [0.0, 0.3]},
+            chains=2, length=30, rng=np.random.default_rng(0),
+        )
+        assert (cfg.delta, cfg.phi) == (0.2, 0.0)
+        assert len(trace["ess_table"]) == 4
+        assert all(ess is None for ess in trace["ess_table"].values())
 
     def test_acceptance_window_gates_candidates(self, monkeypatch):
         # the 0.5-0.9 rate window filters stepsizes before ESS ranking; the
