@@ -321,7 +321,7 @@ def _chain_csv_header(d: int) -> str:
     return ",".join(["chain", "t"] + [f"s_{i + 1}" for i in range(d)] + ["energy", "accepted"])
 
 
-def _write_chain_csvs(out_dir: Path, config: ExperimentConfig, values, indices, energies, accepted):
+def _write_chain_csvs(out_dir: Path, values, indices, energies, accepted):
     """One CSV per chain, the bytes ``csv.writer`` renders: each lattice value is
     formatted once, and lines are built from its labels a block of rows at a time."""
     m, n, d = indices.shape
@@ -362,24 +362,19 @@ def _tv_rows(config: ExperimentConfig, joint, kept_idx):
     row over tuples of equal arity (chains first, tuples second)."""
     K = joint.shape[0]
     rows = []
-    by_arity = {}
+    stats = {}  # (arity, n) -> the (mean, sd) of each tuple
     for coords in config.tv_coords:
         exact = marginal(joint, coords)
-        per_checkpoint = []
+        label = "-".join(map(str, coords))
         for n in config.checkpoints:
             tvs = np.array([
                 tv_distance(index_pmf(chain[:n][:, coords], K), exact) for chain in kept_idx
             ])
-            per_checkpoint.append((n, float(tvs.mean()), float(tvs.std(ddof=0))))
-        label = "-".join(map(str, coords))
-        for n, mean, sd in per_checkpoint:
-            rows.append(("tv", label, n, mean, sd))
-        by_arity.setdefault(len(coords), []).append(per_checkpoint)
-    for arity, tuples in sorted(by_arity.items()):
-        for j, n in enumerate(config.checkpoints):
-            means = [t[j][1] for t in tuples]
-            sds = [t[j][2] for t in tuples]
-            rows.append(("tv", f"avg{arity}d", n, float(np.mean(means)), float(np.mean(sds))))
+            rows.append(("tv", label, n, float(tvs.mean()), float(tvs.std(ddof=0))))
+            stats.setdefault((len(coords), n), []).append(rows[-1][3:])
+    for (arity, n), pairs in sorted(stats.items()):
+        means, sds = zip(*pairs)
+        rows.append(("tv", f"avg{arity}d", n, float(np.mean(means)), float(np.mean(sds))))
     return rows
 
 
@@ -392,6 +387,11 @@ def _write_metric_csv(path: Path, header, rows):
         for row in rows:
             values = ["undefined" if v is None else repr(float(v)) for v in row[3:]]
             writer.writerow([*row[:3], *values])
+
+
+def _write_json(path: Path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
@@ -418,12 +418,9 @@ def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
         _write_metric_csv(out_dir / "tv.csv", TV_HEADER, _tv_rows(config, joint, kept_idx))
     if moments:
         exact = None if joint is None else exact_moments(joint, values)
-        rows = []
-        for family, entry in moment_report((values[chain] for chain in kept_idx), exact).items():
-            if entry["bias2"] is not None:
-                rows.append(("moment_bias2", family, config.length, entry["bias2"]))
-            if entry["variance"] is not None:
-                rows.append(("moment_variance", family, config.length, entry["variance"]))
+        report = moment_report((values[chain] for chain in kept_idx), exact)
+        rows = [(f"moment_{key}", family, config.length, entry[key])
+                for family, entry in report.items() for key in ("bias2", "variance") if entry[key] is not None]
         _write_metric_csv(out_dir / "moments.csv", METRICS_HEADER, rows)
 
 
@@ -441,7 +438,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     indices, energies, accepted = _run_all_chains(config, pre)
     values = target.lattice.values
-    _write_chain_csvs(out_dir, config, values, indices, energies, accepted)
+    _write_chain_csvs(out_dir, values, indices, energies, accepted)
     _write_metrics(out_dir, config, target, indices, energies, accepted)
 
     manifest = {
@@ -461,8 +458,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             "tuning_stream": TUNING_STREAM,
         },
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(out_dir / "manifest.json", manifest)
     return out_dir
 
 
@@ -470,7 +466,8 @@ def read_chain_csv(path, lattice, rows=None):
     """Read one chain CSV back into (lattice indices, energies, accepted),
     checking that every row has the header's field count and finite cells,
     every accept flag is 0 or 1, the header and rows hold the lattice's d
-    states, the states lie on the lattice and, given ``rows``, the row count."""
+    states, the states lie on the lattice, given ``rows``, the row count, and
+    the rows are one chain's steps 0, 1, ... in order."""
     try:
         with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns of a file with no rows
@@ -492,6 +489,8 @@ def read_chain_csv(path, lattice, rows=None):
             raise ValueError(f"first line is not the header chain,t,s_1..s_{lattice.dim},energy,accepted")
         if rows is not None and len(draws) != rows:
             raise ValueError(f"{len(draws)} rows, the config's burn_in + length is {rows}")
+        if not np.array_equal(table[:, 1], np.arange(len(table))) or (table[:, 0] != table[0, 0]).any():
+            raise ValueError(f"rows are not one chain's steps t = 0, 1, ..., {len(table) - 1} in order")
     except (FileNotFoundError, ValueError, UserWarning) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
@@ -545,10 +544,8 @@ def tune_command(config: ExperimentConfig) -> Path:
     )
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "tuned_config.json", "w") as fh:
-        json.dump({"kernel": config.kernel, "sampler": asdict(chosen)}, fh, indent=2, sort_keys=True)
-    with open(out_dir / "tune_trace.json", "w") as fh:
-        json.dump(trace, fh, indent=2, sort_keys=True)
+    _write_json(out_dir / "tuned_config.json", {"kernel": config.kernel, "sampler": asdict(chosen)})
+    _write_json(out_dir / "tune_trace.json", trace)
     return out_dir
 
 
@@ -562,8 +559,5 @@ def calibrate_command(config: ExperimentConfig, chains_csv=None) -> Path:
     pre = by_delta(config.sampler.delta)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = pre.to_dict()
-    payload["calibration"] = info
-    with open(out_dir / "preconditioner.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(out_dir / "preconditioner.json", dict(pre.to_dict(), calibration=info))
     return out_dir

@@ -270,13 +270,10 @@ class _Core:
         pre = self.pre
         if self.momentum:
             v_star = -aux + cur.S - new.S + self.config.phi * (new.G - cur.G + pre.times(cur.S - new.S, "W"))
-            z_b = new.S + v_star
-            kin_new = 0.5 * (pre.times(v_star, "L") ** 2).sum(axis=-1)
-            kin_old = 0.5 * (pre.times(aux, "L") ** 2).sum(axis=-1)
+            z_b, x_new, x_old = new.S + v_star, v_star, aux
         else:
-            v_star, z_b = None, aux
-            kin_new = 0.5 * (pre.times(aux - new.S, "L") ** 2).sum(axis=-1)
-            kin_old = 0.5 * (pre.times(aux - cur.S, "L") ** 2).sum(axis=-1)
+            v_star, z_b, x_new, x_old = None, aux, aux - new.S, aux - cur.S
+        kin_new, kin_old = (0.5 * (pre.times(x, "L") ** 2).sum(axis=-1) for x in (x_new, x_old))
         if self.over_relaxed:
             beta, (cdf, x0_interval) = self.config.beta, rows_f
             lq_f = over_relax_log_prob_rows(cdf, cur.idx, new.idx, beta, x0_interval=x0_interval).sum(axis=-1)
@@ -319,9 +316,9 @@ def step_kernel(kernel_id: str, state: ChainState, target: TargetModel, pre, con
         raise InvalidStateError("momentum kernel requires a state with momentum")
     if noise is None:
         drawn = _draw_noise(kernel_id, [rng], target.lattice.dim, config.epsilon, 1)
-        noise = tuple(None if x is None else x[0, 0] for x in drawn)
-    normals, coord, acc_u = noise
-    noise = (None if normals is None else np.asarray(normals)[None], np.asarray(coord)[None], np.array([acc_u]))
+        noise = tuple(None if x is None else x[0] for x in drawn)  # step 0, still a leading chain axis
+    else:
+        noise = tuple(None if x is None else np.asarray(x)[None] for x in noise)
     cur = core.evaluate(target.lattice.index_of(state.s)[None])
     V = None if state.v is None else np.asarray(state.v)[None]
     nxt, V, accepted, delta, idx_star = core.step(cur, V, noise)
@@ -361,8 +358,8 @@ def run_chains(
 
     Chain ``i`` consumes the variates of the documented order from its own
     generator, so a chain's trajectory does not depend on the other chains.
-    Momentum kernels draw their initial momentum from each chain's generator
-    before the first step.  Indices are stored in ``lattice.index_dtype``, the
+    Momentum kernels draw each chain's initial momentum, ``momentum_init``,
+    from its generator before the first step.  Indices are stored in ``lattice.index_dtype``, the
     smallest unsigned type that holds them (uint8 up to 256 values).
     """
     core = _Core(kernel_id, target, pre, config)
@@ -377,13 +374,7 @@ def run_chains(
     out_accept = np.empty((m, n_steps), dtype=bool)
 
     cur = core.evaluate(idx)
-    V = None
-    if core.momentum:
-        U = np.empty((m, d))
-        for g, row in zip(rngs, U):  # momentum_init's doubles, one block for all chains
-            g.random(out=row)
-        # L_inv chain by chain: a matrix product can round unlike m vector products
-        V = np.array([pre.times(z, "L_inv") for z in standard_normals(U)])
+    V = np.array([momentum_init(pre, g) for g in rngs]) if core.momentum else None
     width = sum(_noise_widths(kernel_id, d, config.epsilon)) + 1
     block = max(1, NOISE_BLOCK_DOUBLES // (m * width))
     for t0 in range(0, n_steps, block):

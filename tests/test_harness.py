@@ -148,12 +148,29 @@ class TestConfig:
         ({"kernel": "git_gibbs", "calibration": {"method": "none"}}, "calibration.method exact_quadratic"),
         ({"cond_threshold": float("nan")}, "cond_threshold must be a number, got nan"),
         ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2}}, "calibration.method"),
+        ({"target": {"name": "clock_potts", "side": 1, "q": 4}}, "side must be >= 2"),
+        ({"target": {"name": "clock_potts", "side": 3, "q": 1}}, "q must be >= 2"),
+        ({"target": {"name": "discrete_gaussian", "d": 2, "k": 0, "sigma": 2.0, "rho": 0.5}}, "k must be >= 1"),
+        ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 0}}, "need at least one mixture component"),
+        ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2,
+                     "means": [[0.0, 0.0], [1.0, 1.0]], "variances": [1.0, 0.0]}},
+         "component variances must be positive"),
+        ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2,
+                     "means": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "variances": [1.0, 2.0]}},
+         "means must be (n_components, dim)"),
+        ({"target": {"name": "quadratic", "k": 2, "w_true": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]}},
+         "W_true must be dim x dim"),
+        ({"target": {"name": "quadratic", "k": 2, "w_true": [[-1.0, 0.5], [0.0, -1.0]]}}, "W_true must be symmetric"),
+        ({"target": {"name": "quadratic", "k": 2, "w_true": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0, 0.0]}},
+         "b must have length dim"),
     ], ids=["checkpoints", "workers", "cond_threshold", "tv_coords", "tune", "tune_key",
             "clock_key", "gaussian_key", "delta_nan", "delta_inf", "beta_nan", "beta_inf",
             "phi_nan", "phi_inf", "epsilon_nan", "epsilon_range", "phi_negative", "target_name_missing",
             "target_name_unknown", "burn_in_kernel", "burn_in_kernel_git_gibbs",
             "burn_in_delta", "burn_in_delta_nan", "burn_in_delta_negative", "solver",
-            "git_gibbs_without_exact_w", "cond_threshold_nan", "exact_quadratic_without_w"])
+            "git_gibbs_without_exact_w", "cond_threshold_nan", "exact_quadratic_without_w",
+            "clock_side", "clock_q", "gaussian_k", "mixture_no_component", "mixture_zero_variance",
+            "mixture_means_width", "quadratic_w_not_square", "quadratic_w_asymmetric", "quadratic_b_length"])
     def test_bad_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
         payload = dict(base_config(tmp_path).raw, **override)
         path = tmp_path / "bad.yaml"
@@ -373,9 +390,9 @@ class TestRunExperiment:
         written = {}
         write = harness._write_chain_csvs
 
-        def capture(out_dir, config, values, indices, energies, accepted):
+        def capture(out_dir, values, indices, energies, accepted):
             written.update(values=values, indices=indices, energies=energies, accepted=accepted)
-            return write(out_dir, config, values, indices, energies, accepted)
+            return write(out_dir, values, indices, energies, accepted)
 
         monkeypatch.setattr(harness, "_write_chain_csvs", capture)
         cfg = base_config(tmp_path, target={"name": "discrete_gaussian", "d": 3, "k": 2, "sigma": 2.0, "rho": 0.5})
@@ -496,6 +513,18 @@ def _set_energy_cell(text, cell):
     return "\n".join(lines) + "\n"
 
 
+def _reverse_rows(text):
+    """The chain CSV with its header kept and its data rows in reverse order."""
+    header, *rows = text.splitlines()
+    return "\n".join([header, *reversed(rows)]) + "\n"
+
+
+def _set_chain_cell(text, row, chain):
+    lines = text.splitlines()
+    lines[row] = ",".join([str(chain), *lines[row].split(",")[1:]])
+    return "\n".join(lines) + "\n"
+
+
 class TestMalformedRunDirectory:
     @pytest.mark.parametrize("keep", [
         lambda text: "\n".join(text.splitlines()[:100]) + "\n",
@@ -569,6 +598,27 @@ class TestMalformedRunDirectory:
         target = build_target({"name": "discrete_gaussian", "d": dim, "k": 2, "sigma": 2.0, "rho": 0.5})
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {match}"):
             read_chain_csv(path, target.lattice, rows)
+
+    @pytest.mark.parametrize("damage", [
+        _reverse_rows,
+        lambda text: _set_chain_cell(text, 40, 2),
+    ], ids=["rows_shuffled", "two_chains"])
+    def test_read_chain_csv_needs_one_chain_in_step_order(self, tmp_path, damage):
+        out = run_experiment(base_config(tmp_path))
+        path = out / "chains" / "chain_0003.csv"
+        path.write_text(damage(path.read_text()))
+        target = build_target({"name": "discrete_gaussian", "d": 2, "k": 2, "sigma": 2.0, "rho": 0.5})
+        match = r"rows are not one chain's steps t = 0, 1, \.\.\., 499 in order"
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {match}"):
+            read_chain_csv(path, target.lattice, 500)
+
+    def test_metrics_over_a_shuffled_chain_csv_exits_2(self, tmp_path, capsys):
+        out = run_experiment(base_config(tmp_path))
+        path = out / "chains" / "chain_0002.csv"
+        path.write_text(_reverse_rows(path.read_text()))
+        assert cli_main(["metrics", str(out), "-o", str(tmp_path / "redo")]) == 2
+        assert "chain_0002.csv: rows are not one chain's steps" in capsys.readouterr().err
+        assert not (tmp_path / "redo").exists()
 
     def test_calibrate_from_chain_csv_of_another_dimension(self, tmp_path):
         out = run_experiment(base_config(tmp_path))
@@ -703,6 +753,17 @@ class TestCli:
         assert cli_main(["calibrate", "-c", str(path), "-o", str(cal), "--chains-csv", str(headerless)]) == 2
         assert "headerless.csv: first line is not the header chain,t,s_1..s_2,energy,accepted" in (
             capsys.readouterr().err)
+        assert not cal.exists()
+
+    def test_calibrate_from_a_shuffled_chain_csv_exits_2(self, tmp_path, capsys):
+        path, cfg = self._write_cfg(tmp_path)
+        assert cli_main(["run", "-c", str(path)]) == 0
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(_reverse_rows((Path(cfg.output_dir) / "chains" / "chain_0000.csv").read_text()))
+        path, _ = self._write_cfg(tmp_path, calibration={"method": "gradient_diff"})
+        cal = tmp_path / "cal"
+        assert cli_main(["calibrate", "-c", str(path), "-o", str(cal), "--chains-csv", str(shuffled)]) == 2
+        assert "shuffled.csv: rows are not one chain's steps t = 0, 1, ..., 499 in order" in capsys.readouterr().err
         assert not cal.exists()
 
     def test_calibrate_from_a_three_step_burn_in_exits_1(self, tmp_path, capsys):

@@ -83,6 +83,17 @@ class TestGradientDiffCalibration:
             calibrate_w_gradient_diff(CalibrationSample.from_states(t, states))
 
 
+class TestCalibrationSample:
+    @pytest.mark.parametrize("states, grads, energies, match", [
+        (np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1), "calibration needs at least two states"),
+        (np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(3), "grads must match states in shape"),
+        (np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2), "energies must match states in length"),
+    ], ids=["one_state", "grads_shape", "energies_length"])
+    def test_mismatched_fields_rejected(self, states, grads, energies, match):
+        with pytest.raises(ValueError, match=match):
+            CalibrationSample(states, grads, energies)
+
+
 class TestEnergyDiffCalibration:
     def test_scalar_hand_case(self):
         # states (0, 1) under f = -s^2: residual a_1 = -1 against design 1/2
@@ -102,6 +113,13 @@ class TestEnergyDiffCalibration:
         t = QuadraticTarget(integer_lattice(2, 2), -np.eye(2), np.zeros(2))
         states = np.tile(np.array([1.0, 1.0]), (8, 1))
         with pytest.raises(RankDeficiencyError):
+            calibrate_w_energy_diff(CalibrationSample.from_states(t, states))
+
+    def test_moves_along_one_axis(self):
+        # three distinct moves, enough in number for the three entries of a 2x2 W, span one direction
+        t = QuadraticTarget(integer_lattice(2, 3), -np.eye(2), np.zeros(2))
+        states = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(RankDeficiencyError, match="design matrix rank 1 < 3"):
             calibrate_w_energy_diff(CalibrationSample.from_states(t, states))
 
 
@@ -216,6 +234,12 @@ class TestScaling:
         sample = walk_sample(t, 30, rng)
         with pytest.raises(ValueError):
             scaling_check(t, 0.0, sample)
+
+    def test_unknown_method_rejected(self, rng):
+        t = random_quadratic(2, rng)
+        sample = walk_sample(t, 30, rng)
+        with pytest.raises(ValueError, match="unknown calibration method 'bogus'"):
+            scaling_check(t, 2.0, sample, method="bogus")
 
 
 class TestDiagonalProducts:

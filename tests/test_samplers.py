@@ -423,6 +423,19 @@ class TestGuards:
         with pytest.raises(ValueError, match="momentum kernel"):
             transition_terms(kernel, s, np.zeros(2), s, t, pre, SamplerConfig(delta=0.3))
 
+    @pytest.mark.parametrize("kernel, with_pre, shape, match", [
+        ("bogus", False, (2, 2), "unknown kernel 'bogus'"),
+        ("pavg", False, (2, 2), "kernel 'pavg' requires a preconditioner"),
+        ("metropolis", False, (2, 3), r"init_indices must be \(n_chains, dim\)"),
+        ("vpdhams", True, (3, 2), r"init_indices must be \(n_chains, dim\)"),
+    ], ids=["unknown_kernel", "pavg_without_pre", "init_width", "init_chains"])
+    def test_run_chains_rejects_bad_arguments(self, kernel, with_pre, shape, match):
+        t = small_mixture()
+        pre = first_order_preconditioner(2, 0.3) if with_pre else None
+        rngs = [chain_rng(5, i) for i in range(2)]
+        with pytest.raises(ValueError, match=match):
+            run_chains(kernel, t, pre, SamplerConfig(delta=0.3), 3, rngs, np.zeros(shape, dtype=int))
+
     def test_momentum_kernels_require_momentum(self, rng):
         t = small_mixture()
         pre = first_order_preconditioner(2, 0.3)
