@@ -39,18 +39,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the configured experiment")
-    p_run.add_argument("-c", "--config", required=True, help="YAML config file")
-    p_run.add_argument("-o", "--output", default=None, help="override output directory")
-
-    p_tune = sub.add_parser("tune", help="staged grid search for sampler parameters")
-    p_tune.add_argument("-c", "--config", required=True)
-    p_tune.add_argument("-o", "--output", default=None)
-
-    p_cal = sub.add_parser("calibrate", help="calibrate and store a preconditioner")
-    p_cal.add_argument("-c", "--config", required=True)
-    p_cal.add_argument("-o", "--output", default=None)
-    p_cal.add_argument(
+    for name, summary in (("run", "run the configured experiment"),
+                          ("tune", "staged grid search for sampler parameters"),
+                          ("calibrate", "calibrate and store a preconditioner")):
+        p_cmd = sub.add_parser(name, help=summary)
+        p_cmd.add_argument("-c", "--config", required=True, help="YAML config file")
+        p_cmd.add_argument("-o", "--output", default=None, help="override output directory")
+    p_cmd.add_argument(  # calibrate, the last of them
         "--chains-csv", default=None, help="calibrate from a stored chain CSV instead of a burn-in run"
     )
 

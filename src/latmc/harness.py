@@ -7,7 +7,7 @@ import csv
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +122,8 @@ def build_target(params: dict) -> TargetModel:
 class ExperimentConfig:
     """Validated experiment description, every default filled in (the
     ``calibration`` and ``tune`` blocks included); ``raw`` keeps the
-    normalized mapping that reproduces this config (and lands in the manifest)."""
+    normalized mapping that reproduces this config (and lands in the manifest),
+    and ``model`` the target that checking the ``target`` mapping built."""
 
     target: dict
     kernel: str
@@ -139,6 +140,7 @@ class ExperimentConfig:
     cond_threshold: float
     tune: dict
     raw: dict
+    model: TargetModel = field(compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -180,8 +182,8 @@ class ExperimentConfig:
             )
         if kernel == "git_gibbs" and method != "exact_quadratic":
             raise ConfigError(f"kernel git_gibbs needs calibration.method exact_quadratic, got {method!r}")
-        built = build_target(target)  # checks the target block; the config keeps the mapping
-        if method == "exact_quadratic" and built.W_true is None:
+        model = build_target(target)
+        if method == "exact_quadratic" and model.W_true is None:
             raise ConfigError("calibration.method exact_quadratic needs a target with an exact quadratic W")
         raw = dict(payload, calibration=calibration)
         calibration = {"burn_in_kernel": "metropolis", "burn_in_steps": 500, "burn_in_r": max(sampler.r, 2),
@@ -191,7 +193,7 @@ class ExperimentConfig:
                               f"got {calibration['burn_in_kernel']!r}")
         if not checkpoints or any(c > length for c in checkpoints):
             raise ConfigError("checkpoints must list at least one step in [1, length]")
-        d = built.lattice.dim
+        d = model.lattice.dim
         for coords in tv_coords:
             if not coords or len(set(coords)) < len(coords) or max(coords) >= d:
                 raise ConfigError(f"tv_coords entry {list(coords)} needs distinct axes inside [0, {d})")
@@ -213,7 +215,7 @@ class ExperimentConfig:
             chains=chains, length=length, burn_in=burn_in, base_seed=base_seed,
             output_dir=output_dir, checkpoints=sorted(set(checkpoints)),
             tv_coords=tv_coords, workers=workers, cond_threshold=cond_threshold,
-            tune=tune, raw=raw,
+            tune=tune, raw=raw, model=model,
         )
 
     @classmethod
@@ -234,14 +236,14 @@ def _reject_unknown_keys(mapping: dict, known, where: str):
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(str, unknown))}")
 
 
-def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_csv=None):
+def _resolve_calibration(config: ExperimentConfig, chains_csv=None):
     """Resolve the calibration block into a map from stepsize to
     preconditioner and the record written to the manifest and to
     ``preconditioner.json``.  The fitting methods estimate W once, from the
     states of ``chains_csv`` when given, else from a fresh burn-in run; a
     chain CSV needs a fitting method."""
     method = config.calibration["method"]
-    threshold = config.cond_threshold
+    threshold, target = config.cond_threshold, config.model
     lattice = target.lattice
     info = {"method": method}
     if chains_csv is not None and method not in FITTED_METHODS:
@@ -273,19 +275,19 @@ def _resolve_calibration(config: ExperimentConfig, target: TargetModel, chains_c
     return (lambda delta: factorize(w, lambda_shift(w, delta), threshold)), info
 
 
-def build_preconditioner(config: ExperimentConfig, target: TargetModel):
+def build_preconditioner(config: ExperimentConfig):
     """The preconditioner at the configured stepsize and its calibration
     record; the metropolis kernel uses none."""
     if config.kernel == "metropolis":
         return None, {"method": config.calibration["method"]}
-    by_delta, info = _resolve_calibration(config, target)
+    by_delta, info = _resolve_calibration(config)
     return by_delta(config.sampler.delta), info
 
 
 def _run_chain_block(config: ExperimentConfig, pre, chain_lo: int, chain_hi: int):
     """Worker entry: run the chains ``chain_lo..chain_hi-1`` of a validated
     config; a guard error names its chain by run index."""
-    target = build_target(config.target)
+    target = config.model
     rngs = [chain_rng(config.base_seed, i) for i in range(chain_lo, chain_hi)]
     total = config.burn_in + config.length
     try:
@@ -390,17 +392,17 @@ def _write_metric_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, payload):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
-                   indices, energies, accepted, moments: bool = False):
+def _write_metrics(out_dir: Path, config: ExperimentConfig, indices, energies, accepted, moments: bool = False):
     """Write ``metrics.csv``, ``tv.csv`` and, with ``moments``, ``moments.csv``
     from whole-run (chains, steps, ...) arrays of lattice indices, energies and
     accept flags.  The exact joint is enumerated at most once, for TV and
     moments together; moments take one chain's values at a time."""
-    values = target.lattice.values
+    values = config.model.lattice.values
     kept = slice(config.burn_in, config.burn_in + config.length)
     kept_idx = indices[:, kept]
     _write_metric_csv(
@@ -410,7 +412,7 @@ def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
     joint = None
     if config.tv_coords or moments:
         try:
-            joint = enumerate_joint(target)
+            joint = enumerate_joint(config.model)
         except EnumerationBudgetError as exc:
             if config.tv_coords:
                 warnings.warn(f"TV metrics omitted: {exc}", stacklevel=2)
@@ -427,8 +429,7 @@ def _write_metrics(out_dir: Path, config: ExperimentConfig, target: TargetModel,
 def run_experiment(config: ExperimentConfig) -> Path:
     """Calibrate, run all chains, and write chain CSVs, metric CSVs, and the
     reproducibility manifest into the output directory."""
-    target = build_target(config.target)
-    pre, calib_info = build_preconditioner(config, target)
+    pre, calib_info = build_preconditioner(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # an earlier run's chains and metric tables would outlive a rerun that writes fewer
@@ -437,9 +438,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
         stale.unlink(missing_ok=True)
 
     indices, energies, accepted = _run_all_chains(config, pre)
-    values = target.lattice.values
+    values = config.model.lattice.values
     _write_chain_csvs(out_dir, values, indices, energies, accepted)
-    _write_metrics(out_dir, config, target, indices, energies, accepted)
+    _write_metrics(out_dir, config, indices, energies, accepted)
 
     manifest = {
         "version": __version__,
@@ -462,12 +463,12 @@ def run_experiment(config: ExperimentConfig) -> Path:
     return out_dir
 
 
-def read_chain_csv(path, lattice, rows=None):
+def read_chain_csv(path, lattice, rows=None, chain=None):
     """Read one chain CSV back into (lattice indices, energies, accepted),
     checking that every row has the header's field count and finite cells,
     every accept flag is 0 or 1, the header and rows hold the lattice's d
     states, the states lie on the lattice, given ``rows``, the row count, and
-    the rows are one chain's steps 0, 1, ... in order."""
+    the rows are one chain's steps 0, 1, ... in order (given ``chain``, that chain's)."""
     try:
         with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns of a file with no rows
@@ -491,6 +492,8 @@ def read_chain_csv(path, lattice, rows=None):
             raise ValueError(f"{len(draws)} rows, the config's burn_in + length is {rows}")
         if not np.array_equal(table[:, 1], np.arange(len(table))) or (table[:, 0] != table[0, 0]).any():
             raise ValueError(f"rows are not one chain's steps t = 0, 1, ..., {len(table) - 1} in order")
+        if chain is not None and table[0, 0] != chain:
+            raise ValueError(f"rows are chain {table[0, 0]:g}'s, the file name says chain {chain}")
     except (FileNotFoundError, ValueError, UserWarning) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
@@ -513,16 +516,15 @@ def recompute_metrics(run_dir, out_dir=None) -> Path:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ConfigError(f"{path} must hold a mapping with a 'config' mapping")
     config = ExperimentConfig.from_dict(manifest["config"])
-    target = build_target(config.target)
-    lattice, rows = target.lattice, config.burn_in + config.length
+    lattice, rows = config.model.lattice, config.burn_in + config.length
     indices = np.empty((config.chains, rows, lattice.dim), lattice.index_dtype)
     energies = np.empty((config.chains, rows))
     accepted = np.empty((config.chains, rows), dtype=bool)
     for c in range(config.chains):
         path = run_dir / "chains" / f"{CHAIN_CSV_PREFIX}{c:04d}.csv"
-        indices[c], energies[c], accepted[c] = read_chain_csv(path, lattice, rows)
+        indices[c], energies[c], accepted[c] = read_chain_csv(path, lattice, rows, chain=c)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_metrics(out_dir, config, target, indices, energies, accepted, moments=True)
+    _write_metrics(out_dir, config, indices, energies, accepted, moments=True)
     return out_dir
 
 
@@ -534,16 +536,14 @@ def tune_command(config: ExperimentConfig) -> Path:
     tune = config.tune
     if not tune["delta_grid"]:
         raise ConfigError("tune.delta_grid must list candidate stepsizes")
-    target = build_target(config.target)
-    by_delta, _ = _resolve_calibration(config, target)
+    by_delta, _ = _resolve_calibration(config)
     chosen, trace = staged_grid_search(
-        config.kernel, target, by_delta, {"delta": tune["delta_grid"], "phi": tune["phi_grid"]},
+        config.kernel, config.model, by_delta, {"delta": tune["delta_grid"], "phi": tune["phi_grid"]},
         chains=tune["probe_chains"], length=tune["probe_length"],
         rng=chain_rng(config.base_seed, TUNING_STREAM), base=config.sampler,
         burn_in=tune["probe_length"] // 10,
     )
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "tuned_config.json", {"kernel": config.kernel, "sampler": asdict(chosen)})
     _write_json(out_dir / "tune_trace.json", trace)
     return out_dir
@@ -552,12 +552,10 @@ def tune_command(config: ExperimentConfig) -> Path:
 def calibrate_command(config: ExperimentConfig, chains_csv=None) -> Path:
     """Produce and serialize a preconditioner, either from a fresh burn-in
     run or from a stored chain CSV."""
-    target = build_target(config.target)
     if chains_csv is None and config.kernel == "metropolis":
         raise ConfigError("the metropolis kernel uses no preconditioner")
-    by_delta, info = _resolve_calibration(config, target, chains_csv)
+    by_delta, info = _resolve_calibration(config, chains_csv)
     pre = by_delta(config.sampler.delta)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "preconditioner.json", dict(pre.to_dict(), calibration=info))
     return out_dir

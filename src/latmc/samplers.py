@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ContractError, InvalidStateError, NumericGuardError
 from .precondition import Preconditioner
@@ -131,6 +130,8 @@ def standard_normals(u) -> np.ndarray:
     ``ndtri((k + 1/2) 2^-53)``, finite for every k and exactly odd under
     ``k -> 2^53 - 1 - k``.  The upper half is evaluated as the mirror of the
     lower tail, where every intermediate is exact."""
+    from scipy.special import ndtri
+
     h = np.asarray(u, dtype=float) - 0.5
     z = np.array(h + 2.0**-54)  # the only temporary beside h: noise blocks can be large
     np.abs(z, out=z)

@@ -158,6 +158,9 @@ class TestConfig:
         ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2,
                      "means": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "variances": [1.0, 2.0]}},
          "means must be (n_components, dim)"),
+        ({"target": {"name": "quadratic_mixture", "d": 2, "k": 3, "M": 2,
+                     "means": [[0.0, 0.0], [1.0, 1.0]], "variances": [1.0, 2.0, 3.0]}},
+         "variances must have one entry per component"),
         ({"target": {"name": "quadratic", "k": 2, "w_true": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]}},
          "W_true must be dim x dim"),
         ({"target": {"name": "quadratic", "k": 2, "w_true": [[-1.0, 0.5], [0.0, -1.0]]}}, "W_true must be symmetric"),
@@ -170,7 +173,8 @@ class TestConfig:
             "burn_in_delta", "burn_in_delta_nan", "burn_in_delta_negative", "solver",
             "git_gibbs_without_exact_w", "cond_threshold_nan", "exact_quadratic_without_w",
             "clock_side", "clock_q", "gaussian_k", "mixture_no_component", "mixture_zero_variance",
-            "mixture_means_width", "quadratic_w_not_square", "quadratic_w_asymmetric", "quadratic_b_length"])
+            "mixture_means_width", "mixture_variances_length", "quadratic_w_not_square", "quadratic_w_asymmetric",
+            "quadratic_b_length"])
     def test_bad_values_exit_2_naming_them(self, tmp_path, capsys, override, named):
         payload = dict(base_config(tmp_path).raw, **override)
         path = tmp_path / "bad.yaml"
@@ -312,14 +316,14 @@ class TestPreconditionerResolution:
     def test_exact_quadratic(self, tmp_path):
         cfg = base_config(tmp_path)
         target = build_target(cfg.target)
-        pre, info = build_preconditioner(cfg, target)
+        pre, info = build_preconditioner(cfg)
         assert info["method"] == "exact_quadratic"
         assert np.array_equal(pre.W, target.W_true)
 
     def test_none_is_first_order(self, tmp_path):
         cfg = base_config(tmp_path, calibration={"method": "none"})
         target = build_target(cfg.target)
-        pre, info = build_preconditioner(cfg, target)
+        pre, info = build_preconditioner(cfg)
         assert np.all(pre.W == 0)
         assert pre.lam == pytest.approx(cfg.sampler.delta)
 
@@ -330,13 +334,13 @@ class TestPreconditionerResolution:
             calibration={"method": method, "burn_in_steps": 400, "burn_in_r": 2},
         )
         target = build_target(cfg.target)
-        pre, info = build_preconditioner(cfg, target)
+        pre, info = build_preconditioner(cfg)
         assert np.abs(pre.W - target.W_true).max() < 1e-8
         assert info["burn_in_kernel"] == "metropolis"
 
     def test_metropolis_needs_no_preconditioner(self, tmp_path):
         cfg = base_config(tmp_path, kernel="metropolis")
-        pre, _ = build_preconditioner(cfg, build_target(cfg.target))
+        pre, _ = build_preconditioner(cfg)
         assert pre is None
 
 
@@ -447,7 +451,7 @@ class TestRunExperiment:
 
     def test_worker_blocks_gather_into_the_compact_store(self, tmp_path):
         cfg = base_config(tmp_path, chains=5, length=30, burn_in=5, checkpoints=[30])
-        pre = build_preconditioner(cfg, build_target(cfg.target))[0]
+        pre = build_preconditioner(cfg)[0]
         one = harness._run_all_chains(cfg, pre)
         three = harness._run_all_chains(base_config(tmp_path, chains=5, length=30, burn_in=5, checkpoints=[30], workers=3), pre)
         assert one[0].dtype == three[0].dtype == np.uint8
@@ -457,7 +461,7 @@ class TestRunExperiment:
     def test_metrics_read_back_into_the_compact_store(self, tmp_path, monkeypatch):
         out = run_experiment(base_config(tmp_path))
         seen = []
-        monkeypatch.setattr(harness, "_write_metrics", lambda *args, **kwargs: seen.append(args[3:6]))
+        monkeypatch.setattr(harness, "_write_metrics", lambda *args, **kwargs: seen.append(args[2:5]))
         recompute_metrics(out, tmp_path / "redo")
         ((indices, energies, accepted),) = seen
         assert (indices.dtype, energies.dtype, accepted.dtype) == (np.uint8, np.float64, np.bool_)
@@ -517,6 +521,9 @@ def _reverse_rows(text):
     """The chain CSV with its header kept and its data rows in reverse order."""
     header, *rows = text.splitlines()
     return "\n".join([header, *reversed(rows)]) + "\n"
+
+
+STEP_ORDER = r"rows are not one chain's steps t = 0, 1, \.\.\., 499 in order"
 
 
 def _set_chain_cell(text, row, chain):
@@ -599,18 +606,18 @@ class TestMalformedRunDirectory:
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {match}"):
             read_chain_csv(path, target.lattice, rows)
 
-    @pytest.mark.parametrize("damage", [
-        _reverse_rows,
-        lambda text: _set_chain_cell(text, 40, 2),
-    ], ids=["rows_shuffled", "two_chains"])
-    def test_read_chain_csv_needs_one_chain_in_step_order(self, tmp_path, damage):
+    @pytest.mark.parametrize("damage, chain, match", [
+        (_reverse_rows, None, STEP_ORDER),
+        (lambda text: _set_chain_cell(text, 40, 2), None, STEP_ORDER),
+        (lambda text: text, 2, r"rows are chain 3's, the file name says chain 2"),
+    ], ids=["rows_shuffled", "two_chains", "another_chain"])
+    def test_read_chain_csv_needs_one_chain_in_step_order(self, tmp_path, damage, chain, match):
         out = run_experiment(base_config(tmp_path))
         path = out / "chains" / "chain_0003.csv"
         path.write_text(damage(path.read_text()))
         target = build_target({"name": "discrete_gaussian", "d": 2, "k": 2, "sigma": 2.0, "rho": 0.5})
-        match = r"rows are not one chain's steps t = 0, 1, \.\.\., 499 in order"
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {match}"):
-            read_chain_csv(path, target.lattice, 500)
+            read_chain_csv(path, target.lattice, 500, chain=chain)
 
     def test_metrics_over_a_shuffled_chain_csv_exits_2(self, tmp_path, capsys):
         out = run_experiment(base_config(tmp_path))
@@ -618,6 +625,14 @@ class TestMalformedRunDirectory:
         path.write_text(_reverse_rows(path.read_text()))
         assert cli_main(["metrics", str(out), "-o", str(tmp_path / "redo")]) == 2
         assert "chain_0002.csv: rows are not one chain's steps" in capsys.readouterr().err
+        assert not (tmp_path / "redo").exists()
+
+    def test_metrics_over_another_chains_csv_exits_2(self, tmp_path, capsys):
+        out = run_experiment(base_config(tmp_path))
+        chains = out / "chains"
+        (chains / "chain_0001.csv").write_bytes((chains / "chain_0000.csv").read_bytes())
+        assert cli_main(["metrics", str(out), "-o", str(tmp_path / "redo")]) == 2
+        assert "chain_0001.csv: rows are chain 0's, the file name says chain 1" in capsys.readouterr().err
         assert not (tmp_path / "redo").exists()
 
     def test_calibrate_from_chain_csv_of_another_dimension(self, tmp_path):
@@ -794,6 +809,21 @@ class TestCli:
         assert cli_main(["run", "-c", str(bad)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_each_command_builds_its_target_once(self, tmp_path, monkeypatch, capsys):
+        path, cfg = self._write_cfg(
+            tmp_path, calibration={"method": "gradient_diff", "burn_in_steps": 300, "burn_in_r": 2},
+            tune={"delta_grid": [0.25], "phi_grid": [0.0], "probe_chains": 2, "probe_length": 50},
+        )
+        calls = []
+        build = harness.build_target
+        monkeypatch.setattr(harness, "build_target", lambda params: calls.append(params) or build(params))
+        for argv in (["run", "-c", str(path)], ["metrics", cfg.output_dir],
+                     ["tune", "-c", str(path), "-o", str(tmp_path / "tune")],
+                     ["calibrate", "-c", str(path), "-o", str(tmp_path / "cal")]):
+            calls.clear()
+            assert cli_main(argv) == 0
+            assert calls == [cfg.target], argv[0]
+
     def test_output_override(self, tmp_path, capsys):
         path, cfg = self._write_cfg(tmp_path)
         other = tmp_path / "elsewhere"
@@ -846,7 +876,7 @@ def test_worker_guard_error_names_the_run_chain(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_chains", guard)
     cfg = base_config(tmp_path, chains=6, workers=2)
-    pre = build_preconditioner(cfg, build_target(cfg.target))[0]
+    pre = build_preconditioner(cfg)[0]
     with pytest.raises(NumericGuardError) as info:
         harness._run_chain_block(cfg, pre, 3, 6)
     err = info.value
@@ -887,7 +917,7 @@ configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 payload = yaml.safe_load((configs / "clock_potts_full.yaml").read_text())
 config = ExperimentConfig.from_dict({**payload, "calibration": {"method": "none"}})
 target = build_target(config.target)
-pre = build_preconditioner(config, target)[0]
+pre = build_preconditioner(config)[0]
 rngs = [chain_rng(config.base_seed, i) for i in range(config.chains)]
 init = np.stack([g.integers(0, target.lattice.n_values, size=target.lattice.dim) for g in rngs])
 run_chains("pavg", target, pre, config.sampler, 3, rngs, init)
@@ -920,6 +950,37 @@ def test_scipy_linalg_loads_only_for_a_fit(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+SCIPY_SPECIAL_SCRIPT = """
+import sys
+
+import numpy as np
+
+import latmc.cli
+assert "scipy.special" not in sys.modules, "import latmc.cli"
+assert latmc.cli.main(["metrics", sys.argv[1], "-o", sys.argv[2]]) == 0
+assert "scipy.special" not in sys.modules, "latmc metrics"
+
+from latmc.samplers import standard_normals
+
+standard_normals(np.array([0.25]))
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_scipy_special_loads_at_the_first_draw(tmp_path):
+    # only a draw of normals calls ndtri; importing the CLI and recomputing metrics do not load it
+    payload = yaml.safe_load((CONFIGS / "discrete_gaussian_desk.yaml").read_text())
+    payload.update(length=300, burn_in=50, checkpoints=[300], output_dir=str(tmp_path / "gauss"))
+    out = run_experiment(ExperimentConfig.from_dict(payload))
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_SPECIAL_SCRIPT, str(out), str(tmp_path / "redo")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "redo" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -185,6 +185,14 @@ class TestFactorize:
         with pytest.raises(CalibrationError):
             factorize(np.diag([-1.0, 0.0]), 0.5)
 
+    def test_failed_cholesky_is_a_calibration_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(CalibrationError, match="Cholesky factorization failed: Matrix is not positive definite"):
+            factorize(np.eye(2), 1.0)
+
     def test_first_order_preconditioner(self):
         pre = first_order_preconditioner(4, 0.3)
         assert pre.lam == pytest.approx(0.3)

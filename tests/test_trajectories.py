@@ -89,7 +89,7 @@ def _setup(shape):
     name, _, overrides = SHAPES[shape]
     config = _config(name, **overrides)
     target = build_target(config.target)
-    return config, target, build_preconditioner(config, target)[0]
+    return config, target, build_preconditioner(config)[0]
 
 
 def _fingerprint(shape, kernel, beta):
@@ -146,7 +146,7 @@ def test_calibration_sample_fingerprint(name, monkeypatch):
 
     monkeypatch.setattr(harness, fit, record)
     config = _config(name)
-    harness._resolve_calibration(config, build_target(config.target))
+    harness._resolve_calibration(config)
     assert seen == [expected]
 
 
