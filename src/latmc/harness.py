@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -299,11 +299,15 @@ def _run_chain_block(config: ExperimentConfig, pre, chain_lo: int, chain_hi: int
 
 
 def _run_all_chains(config: ExperimentConfig, pre):
-    """Whole-run (indices, energies, accepted) arrays: each worker's block is
-    copied into them as it completes and then dropped."""
-    if config.workers == 1:
+    """Whole-run (indices, energies, accepted) arrays from at most one worker per
+    usable CPU, in-process for one; each worker block is copied in as it completes."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(config.workers, cpus)
+    if workers == 1:
         return _run_chain_block(config, pre, 0, config.chains)
-    bounds = np.linspace(0, config.chains, config.workers + 1).astype(int)
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    bounds = np.linspace(0, config.chains, workers + 1).astype(int)
     spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     out = None
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:

@@ -1,7 +1,7 @@
 """Preconditioner calibration: coupling-matrix estimation from burn-in samples,
 diagonal shift selection, and condition-number-driven factorization.  A
 preconditioner stores each matrix once, as its diagonal where it is one; the
-W = 0 one is built in closed form.  Only the two fits import scipy.linalg."""
+W = 0 one is built in closed form.  Both fits solve with numpy.linalg."""
 
 from __future__ import annotations
 
@@ -123,11 +123,10 @@ def calibrate_w_gradient_diff(sample: CalibrationSample) -> np.ndarray:
     """Estimate W by matching gradient differences to W times state moves.
 
     Solves the symmetric-constrained least-squares stationarity equation
-    (Ds^T Ds) W + W (Ds^T Ds) = Ds^T Df + Df^T Ds with the Bartels-Stewart
-    continuous-Lyapunov solver.
+    G W + W G = C, G = Ds^T Ds and C = Ds^T Df + Df^T Ds, in the eigenbasis
+    G = U diag(g) U^T: W = U [(U^T C U)_ij / (g_i + g_j)] U^T, the
+    Bartels-Stewart solution for a symmetric G, whose Schur form is diagonal.
     """
-    from scipy.linalg import solve_continuous_lyapunov
-
     ds, df, _ = sample.differences()
     d = ds.shape[1]
     if ds.shape[0] < d:
@@ -135,12 +134,13 @@ def calibrate_w_gradient_diff(sample: CalibrationSample) -> np.ndarray:
             f"only {ds.shape[0]} distinct moves for dimension {d}; sample more burn-in"
         )
     gram = ds.T @ ds
-    eigvals = np.linalg.eigvalsh(gram)
+    eigvals, basis = np.linalg.eigh(gram)
     if eigvals[0] <= RANK_TOL * eigvals[-1]:
         raise RankDeficiencyError(
             "state moves do not span the space (Gram matrix numerically singular)"
         )
-    w = solve_continuous_lyapunov(gram, ds.T @ df + df.T @ ds)
+    rotated = basis.T @ (ds.T @ df + df.T @ ds) @ basis
+    w = basis @ (rotated / (eigvals[:, None] + eigvals[None, :])) @ basis.T
     return 0.5 * (w + w.T)
 
 
@@ -148,11 +148,9 @@ def calibrate_w_energy_diff(sample: CalibrationSample) -> np.ndarray:
     """Estimate W by least squares on second-order energy-difference residuals.
 
     Each move contributes a_t = f(s_{t+1}) - f(s_t) - grad f(s_t)^T (s_{t+1}-s_t)
-    regressed on the half-vectorized outer product of the move, solved by a
-    rank-revealing orthogonal factorization.
+    regressed on the half-vectorized outer product of the move, solved by SVD
+    least squares that cuts singular values below eps times the largest.
     """
-    from scipy.linalg import lstsq
-
     ds, _, keep = sample.differences()
     d = ds.shape[1]
     rows, cols = np.triu_indices(d)
@@ -166,7 +164,7 @@ def calibrate_w_energy_diff(sample: CalibrationSample) -> np.ndarray:
     a = (e[1:] - e[:-1])[keep] - (grads * ds).sum(axis=1)
     design = ds[:, rows] * ds[:, cols]
     design[:, rows == cols] *= 0.5
-    solution, _, rank, _ = lstsq(design, a, lapack_driver="gelsy")
+    solution, _, rank, _ = np.linalg.lstsq(design, a, rcond=np.finfo(float).eps)
     if rank < n_par:
         raise RankDeficiencyError(
             f"design matrix rank {rank} < {n_par}; moves do not identify W"

@@ -25,8 +25,14 @@ from latmc.harness import (
     run_experiment,
     tune_command,
 )
+from latmc.samplers import run_chains
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def pin_cpu_count(monkeypatch, n):
+    # _run_all_chains starts at most one worker per CPU in the process's affinity set
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def base_config(tmp_path, **overrides):
@@ -440,8 +446,9 @@ class TestRunExperiment:
         assert not (out / "tv.csv").exists()
         assert (out / "metrics.csv").exists()
 
-    def test_workers_do_not_change_results(self, tmp_path):
+    def test_workers_do_not_change_results(self, tmp_path, monkeypatch):
         # three workers split five chains 1 + 2 + 2
+        pin_cpu_count(monkeypatch, 3)
         out1 = run_experiment(base_config(tmp_path, output_dir=str(tmp_path / "w1"), chains=5))
         out3 = run_experiment(base_config(tmp_path, output_dir=str(tmp_path / "w3"), chains=5, workers=3))
         names = [f"chains/chain_{c:04d}.csv" for c in range(5)] + ["metrics.csv", "tv.csv"]
@@ -449,7 +456,8 @@ class TestRunExperiment:
         for name in names:
             assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
 
-    def test_worker_blocks_gather_into_the_compact_store(self, tmp_path):
+    def test_worker_blocks_gather_into_the_compact_store(self, tmp_path, monkeypatch):
+        pin_cpu_count(monkeypatch, 3)
         cfg = base_config(tmp_path, chains=5, length=30, burn_in=5, checkpoints=[30])
         pre = build_preconditioner(cfg)[0]
         one = harness._run_all_chains(cfg, pre)
@@ -457,6 +465,23 @@ class TestRunExperiment:
         assert one[0].dtype == three[0].dtype == np.uint8
         for a, b in zip(one, three):
             assert a.shape[:2] == (5, 35) and a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_one_cpu_runs_every_worker_in_process(self, tmp_path, monkeypatch):
+        # workers: 4 on one CPU samples every chain in this process and writes what workers: 1 writes
+        out1 = run_experiment(base_config(tmp_path, output_dir=str(tmp_path / "w1"), chains=5))
+        pin_cpu_count(monkeypatch, 1)
+        sampled = []  # a worker process appends to its own copy, which this process never sees
+
+        def counted(*args):
+            sampled.append(len(args[5]))  # the generators, one per chain
+            return run_chains(*args)
+
+        monkeypatch.setattr(harness, "run_chains", counted)
+        out4 = run_experiment(base_config(tmp_path, output_dir=str(tmp_path / "w4"), chains=5, workers=4))
+        assert sampled == [5]
+        for name in [f"chains/chain_{c:04d}.csv" for c in range(5)] + ["metrics.csv", "tv.csv"]:
+            assert (out1 / name).read_bytes() == (out4 / name).read_bytes(), name
+        assert json.loads((out4 / "manifest.json").read_text())["config"]["workers"] == 4
 
     def test_metrics_read_back_into_the_compact_store(self, tmp_path, monkeypatch):
         out = run_experiment(base_config(tmp_path))
@@ -938,18 +963,78 @@ quad = QuadraticTarget(integer_lattice(2, 3), w_true, np.zeros(2))
 states = np.array([[0, 0], [1, 0], [1, 1], [0, 2], [-1, 1], [2, -1]], dtype=float)
 w = calibrate_w_gradient_diff(CalibrationSample.from_states(quad, states))
 assert np.abs(w - w_true).max() < 1e-10
-assert "scipy.linalg" in sys.modules
+assert "scipy.linalg" not in sys.modules, "calibrate_w_gradient_diff"
+
+for name in ("quadratic_mixture_desk", "clock_potts_desk"):
+    payload = yaml.safe_load((configs / f"{name}.yaml").read_text())
+    payload.update(chains=2, length=300, burn_in=50, checkpoints=[300], output_dir=str(out.parent / name))
+    (out.parent / f"{name}.yaml").write_text(yaml.safe_dump(payload))
+    config = str(out.parent / f"{name}.yaml")
+    assert latmc.cli.main(["run", "-c", config]) == 0
+    assert latmc.cli.main(["calibrate", "-c", config, "-o", str(out.parent / f"cal_{name}")]) == 0
+    chains_csv = str(out.parent / name / "chains" / "chain_0000.csv")
+    assert latmc.cli.main(["calibrate", "-c", config, "-o", str(out.parent / f"csv_{name}"), "--chains-csv", chains_csv]) == 0
+    assert latmc.cli.main(["tune", "-c", str(configs / f"{name}.yaml"), "-o", str(out.parent / f"tune_{name}")]) == 0
+    assert "scipy.linalg" not in sys.modules, f"latmc run, calibrate and tune on {name}"
 """
 
 
-def test_scipy_linalg_loads_only_for_a_fit(tmp_path):
-    # only the fitted calibrations call scipy.linalg; other runs do not import it
+def test_no_command_loads_scipy_linalg(tmp_path):
+    # both fits solve with numpy.linalg; no run, metrics, calibrate or tune imports scipy.linalg
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_LINALG_SCRIPT, str(CONFIGS), str(tmp_path / "gauss")],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+CALIBRATE_IMPORTS_SCRIPT = """
+import sys
+
+import latmc.cli
+
+for name in ("quadratic_mixture_desk", "clock_potts_desk"):
+    assert latmc.cli.main(["calibrate", "-c", f"{sys.argv[1]}/{name}.yaml", "-o", f"{sys.argv[2]}/{name}"]) == 0
+    for module in ("scipy.special", "scipy.linalg"):
+        assert module not in sys.modules, f"latmc calibrate on {name} loaded {module}"
+"""
+
+
+def test_calibrate_loads_neither_scipy_special_nor_linalg(tmp_path):
+    # the fitted desk configs burn in with metropolis, which draws no normals, and fit with numpy.linalg
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", CALIBRATE_IMPORTS_SCRIPT, str(CONFIGS), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clock_potts_desk", "quadratic_mixture_desk"]
+
+
+ONE_WORKER_SCRIPT = """
+import sys
+
+import latmc.cli
+
+assert latmc.cli.main(["run", "-c", sys.argv[1]]) == 0
+for module in ("concurrent.futures.process", "multiprocessing"):
+    assert module not in sys.modules, f"a workers: 1 run loaded {module}"
+"""
+
+
+def test_one_worker_run_loads_no_process_pool(tmp_path):
+    payload = yaml.safe_load((CONFIGS / "discrete_gaussian_desk.yaml").read_text())
+    payload.update(length=300, burn_in=50, checkpoints=[300], output_dir=str(tmp_path / "gauss"))
+    assert payload["workers"] == 1
+    (tmp_path / "gauss.yaml").write_text(yaml.safe_dump(payload))
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_WORKER_SCRIPT, str(tmp_path / "gauss.yaml")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "gauss" / "metrics.csv").exists()
 
 
 SCIPY_SPECIAL_SCRIPT = """

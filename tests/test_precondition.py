@@ -83,6 +83,67 @@ class TestGradientDiffCalibration:
             calibrate_w_gradient_diff(CalibrationSample.from_states(t, states))
 
 
+def sample_with_gram_cond(d, cond, rng):
+    """A sample of 3d moves whose Gram matrix Ds^T Ds has condition number
+    ``cond``, with random gradient differences."""
+    n = 3 * d
+    q, _ = np.linalg.qr(rng.normal(size=(n, d)))
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    ds = (q * np.sqrt(np.geomspace(1.0, cond, d))) @ v.T
+    states = np.vstack([np.zeros(d), np.cumsum(ds, axis=0)])
+    grads = np.vstack([np.zeros(d), np.cumsum(rng.normal(size=(n, d)), axis=0)])
+    return CalibrationSample(states, grads, np.zeros(n + 1))
+
+
+class TestGradientDiffOracles:
+    # the eigenbasis solve against scipy's Bartels-Stewart solver and the dense Kronecker system
+    @staticmethod
+    def stationarity(sample):
+        ds, df, _ = sample.differences()
+        return ds.T @ ds, ds.T @ df + df.T @ ds
+
+    @pytest.mark.parametrize("cond", [1e2, 1e5, 1e9])
+    @pytest.mark.parametrize("d", [9, 55, 400])
+    def test_matches_scipy_lyapunov(self, d, cond, rng):
+        from scipy.linalg import solve_continuous_lyapunov
+
+        ours, theirs = [], []
+        for _ in range(3):
+            sample = sample_with_gram_cond(d, cond, rng)
+            gram, rhs = self.stationarity(sample)
+            assert np.linalg.cond(gram) == pytest.approx(cond, rel=1e-3)
+            w = calibrate_w_gradient_diff(sample)
+            w_ref = solve_continuous_lyapunov(gram, rhs)
+            w_ref = 0.5 * (w_ref + w_ref.T)
+            assert np.abs(w - w_ref).max() <= 1e-14 * cond * np.abs(w_ref).max()
+            residual = lambda m: np.linalg.norm(gram @ m + m @ gram - rhs) / np.linalg.norm(rhs)
+            ours.append(residual(w))
+            theirs.append(residual(w_ref))
+        # the worst of three residuals, as either solver's varies from sample to sample
+        assert max(ours) <= 4.0 * max(theirs)
+
+    @pytest.mark.parametrize("cond", [1e2, 1e9])
+    @pytest.mark.parametrize("d", [9, 55])
+    def test_matches_kronecker_system(self, d, cond, rng):
+        sample = sample_with_gram_cond(d, cond, rng)
+        gram, rhs = self.stationarity(sample)
+        eye = np.eye(d)
+        w_kron = np.linalg.solve(np.kron(eye, gram) + np.kron(gram, eye), rhs.reshape(-1)).reshape(d, d)
+        w_kron = 0.5 * (w_kron + w_kron.T)
+        w = calibrate_w_gradient_diff(sample)
+        assert np.abs(w - w_kron).max() <= 1e-14 * cond * np.abs(w_kron).max()
+
+    def test_rank_deficiency_messages(self):
+        t = QuadraticTarget(integer_lattice(2, 3), -np.eye(2), np.zeros(2))
+        states = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(RankDeficiencyError, match="^only 1 distinct moves for dimension 2; sample more burn-in$"):
+            calibrate_w_gradient_diff(CalibrationSample.from_states(t, states))
+        states = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
+        singular = r"^state moves do not span the space \(Gram matrix numerically singular\)$"
+        with pytest.raises(RankDeficiencyError, match=singular):
+            calibrate_w_gradient_diff(CalibrationSample.from_states(t, states))
+
+
 class TestCalibrationSample:
     @pytest.mark.parametrize("states, grads, energies, match", [
         (np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1), "calibration needs at least two states"),
@@ -121,6 +182,31 @@ class TestEnergyDiffCalibration:
         states = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
         with pytest.raises(RankDeficiencyError, match="design matrix rank 1 < 3"):
             calibrate_w_energy_diff(CalibrationSample.from_states(t, states))
+
+
+class TestEnergyDiffOracle:
+    @pytest.mark.parametrize("d", [2, 5, 9])
+    def test_matches_scipy_gelsy(self, d, rng):
+        # a perturbed quadratic, so the residuals leave a nonzero least-squares misfit
+        from scipy.linalg import lstsq
+
+        t = random_quadratic(d, rng)
+        states = random_walk_states(t.lattice, 15 * d * d, rng)
+        grads = t.grad_batch(states) + 0.05 * np.sin(states)
+        energies = t.f_batch(states) + 0.1 * np.cos(states).sum(axis=1)
+        sample = CalibrationSample(states, grads, energies)
+        ds, _, keep = sample.differences()
+        rows, cols = np.triu_indices(d)
+        a = (energies[1:] - energies[:-1])[keep] - (grads[:-1][keep] * ds).sum(axis=1)
+        design = ds[:, rows] * ds[:, cols]
+        design[:, rows == cols] *= 0.5
+        solution, _, rank, _ = lstsq(design, a, lapack_driver="gelsy")
+        assert rank == rows.size
+        w_ref = np.zeros((d, d))
+        w_ref[rows, cols] = solution
+        w_ref[cols, rows] = solution
+        w = calibrate_w_energy_diff(sample)
+        assert np.abs(w - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
 
 
 class TestLambdaShift:
