@@ -28,7 +28,8 @@ doubles, in this order:
 * ``metropolis``: d coordinate uniforms, one acceptance uniform.
 
 A refresh normal takes one double: :func:`standard_normals` maps
-``u = k 2^-53`` to ``ndtri(u + 2^-54)``.  At exactly ``epsilon = 1`` the
+``u = k 2^-53`` to ``ndtri(u + 2^-54)``, Cephes' ``ndtri`` evaluated in
+numpy, so latmc loads no scipy module.  At exactly ``epsilon = 1`` the
 refresh is degenerate (the intermediate momentum equals the current
 momentum) and the momentum kernels take no refresh doubles.  The initial
 momentum takes its d doubles the same way, so after the start a chain's
@@ -125,19 +126,86 @@ class ChainRunResult:
     accepted: np.ndarray
 
 
+def _cephes_rows(p, q):
+    """Horner coefficients of a Cephes ``polevl`` numerator P and ``p1evl``
+    denominator Q (its leading 1 written out, P zero-padded to Q's degree),
+    one (2, 1) column per Horner step, so one pass advances both as (2, n)."""
+    rows = np.zeros((len(q) + 1, 2, 1))
+    rows[-len(p) :, 0, 0] = p
+    rows[:, 1, 0] = [1.0, *q]
+    return rows
+
+
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989): P0/Q0 for |y - 1/2| < 1/2 - e^-2, then in x = sqrt(-2 log y) P1/Q1 for
+# x < 8 and P2/Q2 from 8 up.
+_NDTRI_CENTRAL = _cephes_rows(
+    [-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+     1.39312609387279679503e1, -1.23916583867381258016e0],
+    [1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+     -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+     1.59056225126211695515e1, -1.18331621121330003142e0],
+)
+_NDTRI_TAIL = _cephes_rows(
+    [4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+     4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4],
+    [1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+     -3.80806407691578277194e-2, -9.33259480895457427372e-4],
+)
+_NDTRI_FAR = _cephes_rows(
+    [3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+     1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9],
+    [6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+     2.89247864745380683936e-6, 6.79019408009981274425e-9],
+)
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _cephes_ratio(w, rows):
+    """``w P(w) / Q(w)`` in Cephes' operation order."""
+    acc = rows[0] * w
+    acc += rows[1]
+    for c in rows[2:]:
+        acc *= w
+        acc += c
+    return np.divide(np.multiply(acc[0], w, out=acc[0]), acc[1], out=acc[0])
+
+
 def standard_normals(u) -> np.ndarray:
     """Standard normals by inversion, one per uniform double ``u = k 2^-53``:
     ``ndtri((k + 1/2) 2^-53)``, finite for every k and exactly odd under
     ``k -> 2^53 - 1 - k``.  The upper half is evaluated as the mirror of the
-    lower tail, where every intermediate is exact."""
-    from scipy.special import ndtri
-
+    lower tail, where every intermediate is exact.  ``ndtri`` is Cephes'
+    rational approximation evaluated in numpy: bit for bit where the folded
+    argument exceeds ``e^-2`` (about 73% of draws), while in the tails numpy's
+    ``log`` may differ from libm's in the last bit, moving a normal a few ulp."""
     h = np.asarray(u, dtype=float) - 0.5
-    z = np.array(h + 2.0**-54)  # the only temporary beside h: noise blocks can be large
-    np.abs(z, out=z)
-    np.subtract(0.5, z, out=z)
-    ndtri(z, out=z)
-    return np.copysign(z, h, out=z)
+    y = h.reshape(-1) + 2.0**-54
+    np.abs(y, out=y)
+    np.subtract(0.5, y, out=y)
+    x = y - 0.5  # the central branch over every element; the tail overwrites its own
+    t = _cephes_ratio(x * x, _NDTRI_CENTRAL)
+    t *= x
+    x += t
+    x *= _SQRT_2PI
+    tail = np.flatnonzero(y <= _EXP_M2)
+    if tail.size:
+        r = np.sqrt(-2.0 * np.log(np.take(y, tail)))
+        z = 1.0 / r
+        far = np.flatnonzero(r >= 8.0)
+        t = _cephes_ratio(z, _NDTRI_TAIL)
+        if far.size:
+            t[far] = _cephes_ratio(np.take(z, far), _NDTRI_FAR)
+        r -= np.log(r) / r
+        r -= t
+        x[tail] = r
+    x = x.reshape(h.shape)
+    return np.copysign(x, h, out=x)
 
 
 def momentum_init(pre: Preconditioner, rng) -> np.ndarray:
@@ -375,7 +443,10 @@ def run_chains(
     out_accept = np.empty((m, n_steps), dtype=bool)
 
     cur = core.evaluate(idx)
-    V = np.array([momentum_init(pre, g) for g in rngs]) if core.momentum else None
+    V = None
+    if core.momentum:  # momentum_init's draws, with one transform for all chains
+        z = standard_normals(np.array([g.random(d) for g in rngs]))
+        V = np.array([pre.times(row, "L_inv") for row in z])
     width = sum(_noise_widths(kernel_id, d, config.epsilon)) + 1
     block = max(1, NOISE_BLOCK_DOUBLES // (m * width))
     for t0 in range(0, n_steps, block):

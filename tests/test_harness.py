@@ -989,29 +989,6 @@ def test_no_command_loads_scipy_linalg(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-CALIBRATE_IMPORTS_SCRIPT = """
-import sys
-
-import latmc.cli
-
-for name in ("quadratic_mixture_desk", "clock_potts_desk"):
-    assert latmc.cli.main(["calibrate", "-c", f"{sys.argv[1]}/{name}.yaml", "-o", f"{sys.argv[2]}/{name}"]) == 0
-    for module in ("scipy.special", "scipy.linalg"):
-        assert module not in sys.modules, f"latmc calibrate on {name} loaded {module}"
-"""
-
-
-def test_calibrate_loads_neither_scipy_special_nor_linalg(tmp_path):
-    # the fitted desk configs burn in with metropolis, which draws no normals, and fit with numpy.linalg
-    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", CALIBRATE_IMPORTS_SCRIPT, str(CONFIGS), str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["clock_potts_desk", "quadratic_mixture_desk"]
-
-
 ONE_WORKER_SCRIPT = """
 import sys
 
@@ -1037,35 +1014,55 @@ def test_one_worker_run_loads_no_process_pool(tmp_path):
     assert (tmp_path / "gauss" / "metrics.csv").exists()
 
 
-SCIPY_SPECIAL_SCRIPT = """
+NO_SCIPY_SCRIPT = """
 import sys
+from pathlib import Path
 
-import numpy as np
+import yaml
 
 import latmc.cli
-assert "scipy.special" not in sys.modules, "import latmc.cli"
-assert latmc.cli.main(["metrics", sys.argv[1], "-o", sys.argv[2]]) == 0
-assert "scipy.special" not in sys.modules, "latmc metrics"
 
-from latmc.samplers import standard_normals
 
-standard_normals(np.array([0.25]))
-assert "scipy.special" in sys.modules
+def require_no_scipy(after):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, f"{after} loaded {', '.join(loaded[:5])}"
+
+
+require_no_scipy("import latmc.cli")
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for name in ("discrete_gaussian_desk", "quadratic_mixture_desk", "clock_potts_desk"):
+    payload = yaml.safe_load((configs / f"{name}.yaml").read_text())
+    payload.update(chains=2, length=300, burn_in=50, checkpoints=[300], output_dir=str(out / name))
+    payload["tune"].update(probe_chains=2, probe_length=100)
+    config = str(out / f"{name}.yaml")
+    Path(config).write_text(yaml.safe_dump(payload))
+    assert latmc.cli.main(["run", "-c", config]) == 0
+    require_no_scipy(f"latmc run on {name} ({payload['kernel']})")
+    assert latmc.cli.main(["metrics", str(out / name), "-o", str(out / f"redo_{name}")]) == 0
+    require_no_scipy(f"latmc metrics on {name}")
+    assert latmc.cli.main(["tune", "-c", config, "-o", str(out / f"tune_{name}")]) == 0
+    require_no_scipy(f"latmc tune on {name}")
+    if payload["calibration"]["method"] != "exact_quadratic":
+        assert latmc.cli.main(["calibrate", "-c", config, "-o", str(out / f"cal_{name}")]) == 0
+        require_no_scipy(f"latmc calibrate on {name}")
+        chains_csv = str(out / name / "chains" / "chain_0000.csv")
+        assert latmc.cli.main(["calibrate", "-c", config, "-o", str(out / f"csv_{name}"), "--chains-csv", chains_csv]) == 0
+        require_no_scipy(f"latmc calibrate --chains-csv on {name}")
 """
 
 
-def test_scipy_special_loads_at_the_first_draw(tmp_path):
-    # only a draw of normals calls ndtri; importing the CLI and recomputing metrics do not load it
-    payload = yaml.safe_load((CONFIGS / "discrete_gaussian_desk.yaml").read_text())
-    payload.update(length=300, burn_in=50, checkpoints=[300], output_dir=str(tmp_path / "gauss"))
-    out = run_experiment(ExperimentConfig.from_dict(payload))
+def test_no_command_loads_scipy(tmp_path):
+    # normals come from a numpy ndtri and both W fits from numpy.linalg: no command imports any scipy module
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_SPECIAL_SCRIPT, str(out), str(tmp_path / "redo")],
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(CONFIGS), str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "redo" / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+    for name in ("discrete_gaussian_desk", "quadratic_mixture_desk", "clock_potts_desk"):
+        assert (tmp_path / f"redo_{name}" / "metrics.csv").read_bytes() == (tmp_path / name / "metrics.csv").read_bytes()
+    for name in ("quadratic_mixture_desk", "clock_potts_desk"):
+        assert (tmp_path / f"cal_{name}").is_dir() and (tmp_path / f"csv_{name}").is_dir()
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -101,15 +101,48 @@ class TestStandardNormals:
         assert z[1] == -z[0]
 
     def test_exactly_odd_and_matches_lower_tail_formula(self):
+        # k = 0-200 reach x >= 8 (y <= e^-32); about 27% of random k take the x < 8 tail
         k = np.concatenate([
-            [0, 1, 2**51, 2**52 - 1, 2**52],
-            np.random.default_rng(7).integers(0, 2**53, size=1000),
+            np.arange(201), [2**51, 2**52 - 1, 2**52],
+            np.random.default_rng(7).integers(0, 2**53, size=1_000_000),
         ])
         u = k * 2.0**-53
         mirror = (2**53 - 1 - k) * 2.0**-53
-        assert np.array_equal(standard_normals(u), -standard_normals(mirror))
+        z = standard_normals(u)
+        assert np.array_equal(z, -standard_normals(mirror))
         lower = u < 0.5
-        assert np.array_equal(standard_normals(u[lower]), ndtri(u[lower] + 2.0**-54))
+        y = u[lower] + 2.0**-54
+        want = ndtri(y)
+        central = y > np.exp(-2.0)
+        assert central.any() and (want[~central] > -8.0).any() and (want <= -8.0).any()
+        assert np.array_equal(z[lower][central], want[central])
+        ulps = np.abs(z[lower].view(np.int64) - want.view(np.int64))  # both negative: ulp distance
+        assert ulps.max() <= 8
+
+    def test_round_trip_through_erfc(self):
+        k = np.concatenate([np.arange(201), np.random.default_rng(8).integers(0, 2**52, size=20_000)])
+        y = k * 2.0**-53 + 2.0**-54
+        z = standard_normals(k * 2.0**-53)
+        back = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z])
+        assert np.abs(back / y - 1.0).max() < 1e-13
+
+    def test_shapes(self):
+        u = chain_rng(3, 0).random((5, 4, 7))
+        flat = standard_normals(u.ravel())
+        assert np.array_equal(standard_normals(u), flat.reshape(u.shape))
+        assert np.array_equal(standard_normals(u[..., :3]), flat.reshape(u.shape)[..., :3])  # a strided block view
+        zero_d = standard_normals(u[0, 0, 0])
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == () and zero_d == flat[0]
+        assert standard_normals(np.empty(0)).shape == (0,)
+        assert standard_normals(np.empty((0, 4, 3))).shape == (0, 4, 3)
+
+    def test_no_floating_point_warning(self):
+        k = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 2, 2**53 - 1])
+        u = np.concatenate([k * 2.0**-53, [np.exp(-2.0) - 2.0**-54, np.exp(-2.0), np.exp(-32.0)]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            z = standard_normals(np.concatenate([u, chain_rng(4, 0).random(10_000)]))
+        assert np.all(np.isfinite(z))
 
     def test_standard_normal_law(self):
         z = standard_normals(chain_rng(17, 0).random(200_000))
